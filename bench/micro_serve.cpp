@@ -21,8 +21,10 @@
 // Reports latency percentiles, throughput, and the cache hit rate observed
 // on the wire (X-Picp-Cache) per phase. Snapshot rows live in
 // results/micro_serve.txt; --json writes the machine-readable snapshot
-// appended to BENCH_serve.json (see tools/check_bench_serve.sh for the
-// p99 regression guard).
+// appended to BENCH_serve.json, tagged with its observability mode
+// ("armed": this bench always runs fully instrumented), so that
+// tools/check_bench_serve.sh compares p99 only against snapshots of the
+// same configuration.
 //
 // Usage: micro_serve [--connections K] [--requests M] [--distinct D]
 //                    [--open-connections N] [--json FILE]
@@ -346,7 +348,7 @@ int main(int argc, char** argv) {
   options.threads = connections;
   options.max_connections = std::max(connections + 4, open_connections + 64);
   // The open-loop burst parks every request behind one identical config —
-  // most coalesce into batches, but the SLO must not shed the stragglers.
+  // most join an in-flight execution, but the SLO must not shed the rest.
   options.max_pending_requests =
       std::max<std::size_t>(256, open_connections);
   options.listen_backlog = 4096;
@@ -355,6 +357,9 @@ int main(int argc, char** argv) {
   // instrumented hot path, and the regression guard holds it to budget.
   options.trace_sample_n = 1;
   options.access_log_path = work + "/bench_access.ndjson";
+  options.coalesce_key = [&](const serve::HttpRequest& request) {
+    return service.coalesce_key(request);
+  };
   serve::HttpServer server(options,
                            [&](const serve::HttpRequest& request) {
                              return service.handle(request);
@@ -434,6 +439,7 @@ int main(int argc, char** argv) {
                  "  \"requests\": %zu,\n"
                  "  \"distinct\": %zu,\n"
                  "  \"open_connections\": %zu,\n"
+                 "  \"mode\": \"armed\",\n"
                  "  \"peak_connections\": %zu,\n"
                  "  \"batch_leaders\": %llu,\n"
                  "  \"batch_members\": %llu,\n"

@@ -50,4 +50,8 @@ std::unique_ptr<Mapper> make_mapper(const std::string& kind,
                                     double bin_threshold,
                                     std::int64_t max_bins = -1);
 
+/// True when make_mapper accepts `kind` — lets request validation reject
+/// an unknown mapper before any work is scheduled.
+bool is_mapper_kind(const std::string& kind);
+
 }  // namespace picp

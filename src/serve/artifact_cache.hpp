@@ -3,13 +3,14 @@
 // Content-addressed artifact cache for the prediction service: expensive
 // derived artifacts (per-(R, mapper, filter) workload results, serialized
 // response bodies) are keyed by a config fingerprint and held in a
-// capacity-bounded LRU. Concurrent requests for the same key are
-// single-flighted — the first caller computes while the rest wait on its
-// future — so N identical queries cost one workload-generation run. An
+// capacity-bounded LRU. The cache holds no in-flight state: concurrent
+// misses of one key each compute, and the first to finish is the one
+// resident entry. Identical in-flight requests are coalesced upstream, by
+// the reactor (see reactor.hpp), before they ever reach a cache. An
 // optional disk tier (encode/decode hooks + util::AtomicFile) lets evicted
 // entries survive as crash-safe spill files and repopulate the LRU on the
 // next miss. The sibling of tests/support/fixture_cache (same
-// content-addressing idea), but in-memory-first and concurrency-aware.
+// content-addressing idea), but in-memory-first and thread-safe.
 //
 // Robustness contract (PR 7):
 //   - Spill files are framed [magic | key | crc32c | payload]; a file
@@ -20,9 +21,6 @@
 //   - A failed spill (disk full, injected short write) drops the entry
 //     from the disk tier but never publishes a torn file — AtomicFile
 //     unlinks its temp on abort — and never aborts the eviction.
-//   - get_or_compute() takes a Deadline: waiters joined to an in-flight
-//     computation stop waiting when their request's budget expires, so a
-//     wedged generation cannot strand every later request for the key.
 //   - A bounded *stale tier* remembers the last good value per key in
 //     memory. When compute fails and the caller allows it, the stale
 //     value is served (flagged degraded) instead of propagating a 500.
@@ -34,7 +32,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -57,7 +54,6 @@ struct ArtifactCacheStats {
   std::uint64_t misses = 0;          // triggered a compute
   std::uint64_t disk_hits = 0;       // repopulated from the spill tier
   std::uint64_t evictions = 0;       // LRU entries dropped (capacity)
-  std::uint64_t inflight_waits = 0;  // callers that joined a compute in flight
   std::uint64_t quarantined = 0;     // spill files failing their digest
   std::uint64_t stale_served = 0;    // degraded responses from the stale tier
   std::uint64_t spill_failures = 0;  // evictions whose disk spill failed
@@ -89,100 +85,68 @@ class ArtifactCache {
     }
   }
 
-  /// The artifact for `key`, computing it via `compute` on a miss. Blocks
-  /// while another thread is computing the same key (single-flight); a
-  /// throwing compute propagates to every waiter and leaves the key
-  /// absent, so the next request retries. `from_cache` (optional) reports
-  /// whether the value was served without running `compute`.
+  /// The artifact for `key`, computing it via `compute` on a miss. A
+  /// throwing compute propagates and leaves the key absent, so the next
+  /// request retries. `from_cache` (optional) reports whether the value
+  /// was served without running `compute`.
   ///
-  /// `deadline` bounds how long this caller waits on someone else's
-  /// in-flight computation (DeadlineExceeded past it). With `allow_stale`,
-  /// a failed compute falls back to the last good value for the key when
-  /// one is remembered — `*degraded` reports that the value is stale.
-  /// Deadline overruns never serve stale: the client stopped waiting, and
-  /// stale-on-timeout would disguise a 504 as a 200.
-  std::shared_ptr<const V> get_or_compute(
-      std::uint64_t key, const std::function<V()>& compute,
-      bool* from_cache = nullptr, const Deadline& deadline = Deadline(),
-      bool allow_stale = false, bool* degraded = nullptr) {
-    std::shared_future<std::shared_ptr<const V>> future;
-    std::shared_ptr<std::promise<std::shared_ptr<const V>>> promise;
+  /// With `allow_stale`, a failed compute falls back to the last good
+  /// value for the key when one is remembered — `*degraded` reports that
+  /// the value is stale. A DeadlineExceeded never serves stale: the client
+  /// stopped waiting, and stale-on-timeout would disguise a 504 as a 200.
+  std::shared_ptr<const V> get_or_compute(std::uint64_t key,
+                                          const std::function<V()>& compute,
+                                          bool* from_cache = nullptr,
+                                          bool allow_stale = false,
+                                          bool* degraded = nullptr) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (auto it = entries_.find(key); it != entries_.end()) {
-        if (it->second.value != nullptr) {
-          ++stats_.hits;
-          touch(it->second);
-          if (from_cache != nullptr) *from_cache = true;
-          return it->second.value;
-        }
-        ++stats_.inflight_waits;
-        future = it->second.future;
-      } else {
-        promise =
-            std::make_shared<std::promise<std::shared_ptr<const V>>>();
-        Entry entry;
-        entry.future = promise->get_future().share();
-        entries_.emplace(key, std::move(entry));
-        ++stats_.misses;
+        ++stats_.hits;
+        touch(it->second);
+        if (from_cache != nullptr) *from_cache = true;
+        return it->second.value;
       }
-    }
-
-    if (promise == nullptr) {
-      // Someone else is computing; their result (or exception) is ours —
-      // but only for as long as our own request's budget allows.
-      if (deadline.limited() &&
-          future.wait_until(deadline.time_point()) !=
-              std::future_status::ready)
-        throw DeadlineExceeded("cache.wait");
-      auto value = future.get();
-      if (from_cache != nullptr) *from_cache = true;
-      return value;
+      ++stats_.misses;
     }
 
     bool from_disk = false;
     std::shared_ptr<const V> value;
     try {
       value = load_spill(key, &from_disk);
-      if (value == nullptr) {
-        deadline.check("cache.compute");
-        value = std::make_shared<const V>(compute());
-      }
+      if (value == nullptr) value = std::make_shared<const V>(compute());
     } catch (...) {
       std::shared_ptr<const V> stale = allow_stale && !unwinding_deadline()
                                            ? take_stale(key)
                                            : nullptr;
-      if (stale == nullptr) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries_.erase(key);
-        promise->set_exception(std::current_exception());
-        throw;
-      }
-      // Degraded mode: hand the last good value to ourselves and every
-      // waiter, then free the slot so the next request retries a fresh
-      // compute instead of re-serving stale forever.
-      promise->set_value(stale);
+      if (stale == nullptr) throw;
+      // Degraded mode: the last good value answers this request; nothing
+      // is inserted, so the next request retries a fresh compute instead
+      // of re-serving stale forever.
       {
         std::lock_guard<std::mutex> lock(mutex_);
-        entries_.erase(key);
         ++stats_.stale_served;
       }
       if (from_cache != nullptr) *from_cache = true;
       if (degraded != nullptr) *degraded = true;
       return stale;
     }
-    promise->set_value(value);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      auto it = entries_.find(key);
-      PICP_ENSURE(it != entries_.end(),
-                  "cache entry vanished while computing");
-      it->second.value = value;
-      lru_.push_front(key);
-      it->second.lru = lru_.begin();
-      if (from_disk) ++stats_.disk_hits;
-      remember_stale(key, value);
-      evict_over_capacity();
+      const auto [it, inserted] = entries_.try_emplace(key);
+      if (inserted) {
+        it->second.value = value;
+        lru_.push_front(key);
+        it->second.lru = lru_.begin();
+        if (from_disk) ++stats_.disk_hits;
+        remember_stale(key, value);
+        evict_over_capacity();
+      } else {
+        // A concurrent compute of the key landed first: keep its entry,
+        // so every caller replays the same resident value.
+        touch(it->second);
+        value = it->second.value;
+      }
     }
     if (from_cache != nullptr) *from_cache = from_disk;
     return value;
@@ -216,8 +180,7 @@ class ArtifactCache {
 
  private:
   struct Entry {
-    std::shared_ptr<const V> value;  // nullptr while computing
-    std::shared_future<std::shared_ptr<const V>> future;
+    std::shared_ptr<const V> value;
     std::list<std::uint64_t>::iterator lru;
   };
 

@@ -122,22 +122,11 @@ HttpConnection::~HttpConnection() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-bool HttpConnection::wait_readable(int timeout_ms) {
-  if (pos_ < buffer_.size()) return true;
-  pollfd pfd{fd_, POLLIN, 0};
-  for (;;) {
-    const int rc = ::poll(&pfd, 1, timeout_ms <= 0 ? -1 : timeout_ms);
-    if (rc < 0 && errno == EINTR) continue;
-    return rc > 0;
-  }
-}
-
 bool HttpConnection::fill(int timeout_ms) {
   failpoint::inject("http.read");
-  // Poll the socket itself, not wait_readable(): that helper reports
-  // buffered-but-unconsumed bytes as readable, and fill()'s whole job is
-  // to pull NEW bytes — treating the buffer as readiness would send the
-  // recv below into an unbounded block against a stalled peer.
+  // Wait for NEW bytes on the socket; buffered-but-unconsumed bytes are
+  // not readiness, or the recv below could block forever on a stalled
+  // peer.
   pollfd pfd{fd_, POLLIN, 0};
   for (;;) {
     const int rc = ::poll(&pfd, 1, timeout_ms <= 0 ? -1 : timeout_ms);
@@ -204,18 +193,6 @@ void HttpConnection::read_body(std::size_t length, std::string& body,
   pos_ += length;
 }
 
-bool HttpConnection::read_request(HttpRequest& request,
-                                  const HttpLimits& limits) {
-  std::string head;
-  if (!read_head(head, limits)) return false;
-  std::string start_line;
-  wire::parse_head_block(head, start_line, request.headers);
-  wire::parse_request_line(start_line, request);
-  read_body(wire::content_length_of(request.headers, limits), request.body,
-            limits);
-  return true;
-}
-
 bool HttpConnection::read_response(HttpResponse& response,
                                    const HttpLimits& limits) {
   std::string head;
@@ -263,11 +240,6 @@ std::string serialize_response(const HttpResponse& response) {
   return wire;
 }
 
-void HttpConnection::write_response(const HttpResponse& response) {
-  const std::string wire = serialize_response(response);
-  write_all(wire.data(), wire.size());
-}
-
 void HttpConnection::write_request(const HttpRequest& request,
                                    const std::string& host_header) {
   std::string wire =
@@ -281,8 +253,7 @@ void HttpConnection::write_request(const HttpRequest& request,
   write_all(wire.data(), wire.size());
 }
 
-int connect_tcp(const std::string& host, std::uint16_t port,
-                int timeout_ms) {
+int connect_tcp(const std::string& host, std::uint16_t port) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
@@ -312,7 +283,6 @@ int connect_tcp(const std::string& host, std::uint16_t port,
   // closed-loop bench measures the service, not delayed ACK coalescing.
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  (void)timeout_ms;
   return fd;
 }
 

@@ -65,8 +65,8 @@ std::string query_param(const std::string& target, const std::string& key);
 const char* status_reason(int status);
 
 /// Wire bytes for one response (status line, headers, Content-Length
-/// framing, body) — shared by the blocking writer and the reactor's
-/// per-connection output buffers.
+/// framing, body) — what the reactor queues in per-connection output
+/// buffers.
 std::string serialize_response(const HttpResponse& response);
 
 /// Wire limits and timeouts for one connection.
@@ -77,11 +77,10 @@ struct HttpLimits {
   int io_timeout_ms = 30000;
 };
 
-/// Buffered, blocking HTTP/1.1 framing over one socket (or pipe) fd. Owns
-/// the fd. Used by both the server (read_request/write_response) and the
-/// client (write_request/read_response); neither side speaks chunked
-/// transfer encoding — all bodies are Content-Length framed, which is all
-/// picpredict's own peers ever produce.
+/// Buffered, blocking HTTP/1.1 client framing over one socket (or pipe)
+/// fd. Owns the fd. The server side is the epoll reactor's RequestParser;
+/// neither side speaks chunked transfer encoding — all bodies are
+/// Content-Length framed, which is all picpredict's own peers ever produce.
 class HttpConnection {
  public:
   /// Takes ownership of `fd` (closed on destruction).
@@ -92,21 +91,13 @@ class HttpConnection {
 
   int fd() const { return fd_; }
 
-  /// Read one full request. Returns false on clean EOF before the first
+  /// Read one full response. Returns false on clean EOF before the first
   /// byte (peer closed an idle keep-alive connection); throws HttpError on
   /// malformed input, oversize messages, or timeout.
-  bool read_request(HttpRequest& request, const HttpLimits& limits);
-
-  /// Read one full response; same contract as read_request.
   bool read_response(HttpResponse& response, const HttpLimits& limits);
 
-  void write_response(const HttpResponse& response);
   void write_request(const HttpRequest& request,
                      const std::string& host_header);
-
-  /// Block until the fd is readable (or buffered bytes remain). Returns
-  /// false on timeout. `timeout_ms <= 0` waits forever.
-  bool wait_readable(int timeout_ms);
 
  private:
   /// Read the header block up to and including CRLFCRLF. Returns false on
@@ -125,7 +116,6 @@ class HttpConnection {
 
 /// Connect to host:port (numeric IPv4 or a resolvable name). Throws
 /// picp::Error with the connect errno on failure.
-int connect_tcp(const std::string& host, std::uint16_t port,
-                int timeout_ms = 10000);
+int connect_tcp(const std::string& host, std::uint16_t port);
 
 }  // namespace picp::serve

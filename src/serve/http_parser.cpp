@@ -24,6 +24,27 @@ const std::string* find_header(
   return nullptr;
 }
 
+/// Parse "METHOD SP target SP HTTP/x.y" into `request`; throws
+/// HttpError(400) when the shape is wrong.
+void parse_request_line(const std::string& start_line,
+                        HttpRequest& request) {
+  // Request line: METHOD SP target SP HTTP/x.y
+  const std::size_t sp1 = start_line.find(' ');
+  const std::size_t sp2 = sp1 == std::string::npos
+                              ? std::string::npos
+                              : start_line.find(' ', sp1 + 1);
+  if (sp1 == std::string::npos || sp2 == std::string::npos)
+    throw HttpError(400, "malformed request line: " + start_line);
+  request.method = start_line.substr(0, sp1);
+  request.target = start_line.substr(sp1 + 1, sp2 - sp1 - 1);
+  request.version = start_line.substr(sp2 + 1);
+  if (request.version.rfind("HTTP/", 0) != 0)
+    throw HttpError(400, "malformed HTTP version: " + request.version);
+  if (request.method.empty() || request.target.empty() ||
+      request.target[0] != '/')
+    throw HttpError(400, "malformed request target");
+}
+
 }  // namespace
 
 void parse_head_block(
@@ -54,25 +75,6 @@ void parse_head_block(
     headers.emplace_back(std::move(name), std::move(value));
   }
   if (first) throw HttpError(400, "empty message head");
-}
-
-void parse_request_line(const std::string& start_line,
-                        HttpRequest& request) {
-  // Request line: METHOD SP target SP HTTP/x.y
-  const std::size_t sp1 = start_line.find(' ');
-  const std::size_t sp2 = sp1 == std::string::npos
-                              ? std::string::npos
-                              : start_line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos)
-    throw HttpError(400, "malformed request line: " + start_line);
-  request.method = start_line.substr(0, sp1);
-  request.target = start_line.substr(sp1 + 1, sp2 - sp1 - 1);
-  request.version = start_line.substr(sp2 + 1);
-  if (request.version.rfind("HTTP/", 0) != 0)
-    throw HttpError(400, "malformed HTTP version: " + request.version);
-  if (request.method.empty() || request.target.empty() ||
-      request.target[0] != '/')
-    throw HttpError(400, "malformed request target");
 }
 
 std::size_t content_length_of(

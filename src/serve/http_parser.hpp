@@ -8,9 +8,9 @@
 // deterministic: tests drive it through a socketpair and a manual clock
 // and replay exact byte schedules.
 //
-// The free functions underneath (head-block splitting, request-line and
-// Content-Length validation) are shared with the blocking HttpConnection
-// in http.cpp, so the daemon's reactor and the CLI client cannot drift on
+// The free functions underneath (head-block splitting, Content-Length
+// validation) are shared with the blocking client HttpConnection in
+// http.cpp, so the daemon's reactor and the CLI client cannot drift on
 // what counts as a well-formed message.
 
 #include <cstddef>
@@ -30,10 +30,6 @@ namespace wire {
 void parse_head_block(
     const std::string& head, std::string& start_line,
     std::vector<std::pair<std::string, std::string>>& headers);
-
-/// Parse "METHOD SP target SP HTTP/x.y" into `request`; throws
-/// HttpError(400) when the shape is wrong.
-void parse_request_line(const std::string& start_line, HttpRequest& request);
 
 /// Declared body length from the headers, validated against `limits`
 /// (413 over max_body_bytes, 400 malformed, 501 chunked).

@@ -16,9 +16,11 @@
 
 #include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
+#include "util/string_util.hpp"
 
 namespace picp::serve {
 
@@ -79,19 +81,6 @@ const char* status_class_of(int status) {
   if (status >= 400) return "4xx";
   if (status >= 300) return "3xx";
   return "2xx";
-}
-
-/// Two requests may share one handler execution only when a cache-keyed
-/// replay would be indistinguishable: same method, target, body, and same
-/// declared deadline budget (a member with a tighter X-Picp-Deadline-Ms
-/// must not inherit the leader's looser one, or vice versa).
-bool same_identity(const HttpRequest& a, const HttpRequest& b) {
-  if (a.method != b.method || a.target != b.target || a.body != b.body)
-    return false;
-  const std::string* da = a.header("x-picp-deadline-ms");
-  const std::string* db = b.header("x-picp-deadline-ms");
-  if ((da == nullptr) != (db == nullptr)) return false;
-  return da == nullptr || *da == *db;
 }
 
 }  // namespace
@@ -312,7 +301,7 @@ int EpollReactor::run_once(int max_wait_ms) {
     n = 0;
   }
   // Cycle time starts when the wait returns: it measures the work of this
-  // pass (events + batches + completions + timers), not the idle wait.
+  // pass (events + dispatch + completions + timers), not the idle wait.
   const TimePoint cycle_start = now();
 
   for (int i = 0; i < n; ++i) {
@@ -337,11 +326,13 @@ int EpollReactor::run_once(int max_wait_ms) {
       handle_readable(*conn);
   }
 
-  // Window-0 batches dispatch here — after every read of this cycle has
-  // had the chance to join, before anything waits again.
-  dispatch_due_batches(/*force=*/false);
+  // New keys dispatch here — after every read of this cycle has had the
+  // chance to join, before anything waits again.
+  for (const auto& execution : opened_) dispatch(execution);
+  opened_.clear();
   drain_completions();
   expire_deadlines();
+  expire_members();
   resume_accept_if_due();
   reap_dead();
   publish_gauges();
@@ -366,11 +357,10 @@ void EpollReactor::run() {
   const TimePoint drain_deadline =
       now() + std::chrono::milliseconds(options_.drain_timeout_ms);
   for (;;) {
-    dispatch_due_batches(/*force=*/true);
-    bool busy = !open_batches_.empty();
+    bool busy = false;
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
-      busy = busy || stats_.pending_requests > 0;
+      busy = stats_.pending_requests > 0;
     }
     if (!busy) {
       for (const auto& [id, conn] : conns_) {
@@ -492,90 +482,79 @@ void EpollReactor::on_request(Conn& conn, HttpRequest&& request) {
   const std::uint64_t seq = conn.next_seq++;
   conn.slots.emplace_back();
   touch(conn);  // a complete message resets the receive/idle budget
-
-  std::size_t pending = 0;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.requests;
-    pending = stats_.pending_requests;
   }
 
-  Member member{conn.id, seq, close_after, make_trace(conn, request)};
-
-  if (options_.batchable && options_.batchable(request)) {
-    for (auto& batch : open_batches_) {
-      if (!same_identity(batch.request, request)) continue;
-      batch.members.push_back(member);
-      if (batch.members.size() >= options_.max_batch) {
-        Batch full = std::move(batch);
-        batch = std::move(open_batches_.back());
-        open_batches_.pop_back();
-        dispatch(std::move(full));
-      }
+  Member member{.conn_id = conn.id,
+                .seq = seq,
+                .close_after = close_after,
+                .trace = make_trace(conn, request)};
+  std::string key =
+      options_.coalesce_key ? options_.coalesce_key(request) : std::string();
+  if (!key.empty()) {
+    if (const auto it = inflight_.find(key); it != inflight_.end()) {
+      join(*it->second, std::move(member), request);
       return;
     }
-    // Queue SLO: an over-limit request that cannot ride an open batch is
-    // shed rather than queued (joining a batch is free — it adds no
-    // handler execution — so members above never shed).
-    if (pending >= options_.max_pending_requests) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++stats_.shed_queue;
-      }
-      bump("serve.shed_queue");
-      fill_error(conn, seq, busy_response(), member.trace);
-      conn.read_closed = true;
-      return;
-    }
-    Batch batch;
-    batch.request = std::move(request);
-    batch.members.push_back(member);
-    batch.dispatch_at =
-        now() + std::chrono::milliseconds(options_.batch_window_ms);
-    open_batches_.push_back(std::move(batch));
-    return;
   }
 
-  if (pending >= options_.max_pending_requests) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
+  // Queue SLO: a request that cannot join an in-flight execution is shed
+  // rather than queued (joining is free — it adds no handler execution).
+  bool shed = false;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    if (stats_.pending_requests >= options_.max_pending_requests) {
       ++stats_.shed_queue;
+      shed = true;
+    } else {
+      ++stats_.pending_requests;
     }
+  }
+  if (shed) {
     bump("serve.shed_queue");
     fill_error(conn, seq, busy_response(), member.trace);
     conn.read_closed = true;
     return;
   }
-  execute(request, {member});
+  auto execution = std::make_shared<Execution>();
+  execution->request = std::move(request);
+  execution->members.push_back(std::move(member));
+  if (key.empty()) {
+    dispatch(execution);
+    return;
+  }
+  execution->key = key;
+  inflight_.emplace(std::move(key), execution);
+  opened_.push_back(std::move(execution));
 }
 
-void EpollReactor::dispatch(Batch&& batch) {
-  if (batch.members.size() > 1) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.batch_leaders;
-      stats_.batch_members += batch.members.size() - 1;
-    }
-    bump("serve.batch.leaders");
-    bump("serve.batch.members", batch.members.size() - 1);
-  }
-  execute(batch.request, std::move(batch.members));
-}
-
-void EpollReactor::dispatch_due_batches(bool force) {
-  if (open_batches_.empty()) return;
-  const TimePoint t = now();
-  std::vector<Batch> due;
-  for (std::size_t i = 0; i < open_batches_.size();) {
-    if (force || open_batches_[i].dispatch_at <= t) {
-      due.push_back(std::move(open_batches_[i]));
-      open_batches_[i] = std::move(open_batches_.back());
-      open_batches_.pop_back();
-    } else {
-      ++i;
+void EpollReactor::join(Execution& execution, Member&& member,
+                        const HttpRequest& request) {
+  // The member's own budget runs from its arrival, on the reactor clock.
+  // A malformed header sets none: the leader's identical header earns the
+  // 400 that answers both.
+  if (const std::string* budget = request.header("x-picp-deadline-ms")) {
+    try {
+      const long long ms = parse_int(*budget);
+      if (ms > 0) {
+        member.deadline = now() + std::chrono::milliseconds(ms);
+        next_member_expiry_ = std::min(next_member_expiry_, member.deadline);
+      }
+    } catch (const Error&) {
     }
   }
-  for (auto& batch : due) dispatch(std::move(batch));
+  const bool first = execution.members.size() == 1;
+  {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    if (first) ++stats_.batch_leaders;
+    ++stats_.batch_members;
+  }
+  if (first) bump("serve.batch.leaders");
+  bump("serve.batch.members");
+  execution.members.push_back(std::move(member));
+  ++joined_;
 }
 
 std::shared_ptr<RequestTrace> EpollReactor::make_trace(
@@ -665,44 +644,26 @@ HttpResponse EpollReactor::run_traced(const HttpRequest& request,
   return response;
 }
 
-void EpollReactor::execute(const HttpRequest& request,
-                           std::vector<Member> members) {
-  // Dispatch closes the batch-wait phase for every member; only the
-  // leader's trace (members[0]) rides into the handler — members adopt
-  // its execution at deliver().
-  if (!members.empty() && members[0].trace != nullptr) {
-    const double dispatched = members[0].trace->now_us();
-    for (Member& member : members) {
-      if (member.trace == nullptr) continue;
-      member.trace->dispatch_us = dispatched;
-      member.trace->batch_wait_us = dispatched - member.trace->arrived_us;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.pending_requests;
-  }
+void EpollReactor::dispatch(const std::shared_ptr<Execution>& execution) {
+  RequestTrace* leader = execution->members[0].trace.get();
+  leader->dispatch_us = leader->now_us();
+  leader->batch_wait_us = leader->dispatch_us - leader->arrived_us;
   if (pool_ == nullptr) {
-    const HttpResponse response =
-        run_traced(request, members[0].trace.get());
+    const HttpResponse response = run_traced(execution->request, leader);
     {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       --stats_.pending_requests;
     }
-    deliver(response, members);
+    deliver(*execution, response);
     return;
   }
-  auto shared_request = std::make_shared<HttpRequest>(request);
-  pool_->submit([this, shared_request,
-                 members = std::move(members)]() mutable {
-    // The worker owns the members (and their traces) until the completion
-    // is drained back on the reactor thread, so stamping the leader's
-    // handler timings here is race-free.
-    HttpResponse response =
-        run_traced(*shared_request, members[0].trace.get());
+  pool_->submit([this, execution, leader] {
+    // The worker touches only the request and the leader's trace; members
+    // join and expire on the reactor thread meanwhile.
+    HttpResponse response = run_traced(execution->request, leader);
     {
       std::lock_guard<std::mutex> lock(completion_mutex_);
-      completions_.push_back({std::move(response), std::move(members)});
+      completions_.push_back({std::move(response), execution});
     }
     wake();
   });
@@ -720,40 +681,60 @@ void EpollReactor::drain_completions() {
     stats_.pending_requests -= std::min(stats_.pending_requests, done.size());
   }
   for (const Completion& completion : done)
-    deliver(completion.response, completion.members);
+    deliver(*completion.execution, completion.response);
 }
 
-void EpollReactor::deliver(const HttpResponse& response,
-                           const std::vector<Member>& members) {
-  const bool stopping = stop_.load(std::memory_order_relaxed);
-  const bool batched = members.size() > 1;
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const Member& member = members[i];
-    RequestTrace* trace = member.trace.get();
-    if (trace != nullptr) {
-      // A member's response IS the leader's execution: adopt its stages
-      // and handler timings; keep the member's own arrival timeline.
-      if (i > 0 && members[0].trace != nullptr)
-        trace->copy_execution_from(*members[0].trace);
-      trace->role = batched ? (i == 0 ? "leader" : "member") : "solo";
-      trace->batch_size = members.size();
-    }
-    Conn* conn = conn_by_id(member.conn_id);
-    if (conn == nullptr) {
-      // The member hung up before the answer — its record still closes.
-      if (trace != nullptr) finalize_trace(*trace, response.status);
+void EpollReactor::deliver(Execution& execution,
+                           const HttpResponse& response) {
+  if (!execution.key.empty()) inflight_.erase(execution.key);
+  const std::size_t size = execution.members.size();
+  for (std::size_t i = 0; i < size; ++i) {
+    Member& member = execution.members[i];
+    if (member.answered) continue;  // its own deadline already passed
+    member.trace->batch_size = size;
+    if (i == 0) {
+      member.trace->role = size > 1 ? "leader" : "solo";
+      answer(member, response);
       continue;
     }
-    // Every member gets byte-identical status/headers/body; only the
-    // Connection and trace-id headers are per-member.
+    // A member paid for no compute, so a generation-backed reply reads as
+    // a cache hit; the body stays byte-identical to the leader's.
     HttpResponse copy = response;
-    const bool close_after = member.close_after || stopping;
-    copy.set_header("Connection", close_after ? "close" : "keep-alive");
-    if (trace != nullptr) copy.set_header("X-Picp-Trace-Id", trace->id);
-    fill_slot(*conn, member.seq, copy, close_after);
-    if (trace != nullptr) finalize_trace(*trace, copy.status);
-    flush(*conn);
+    if (copy.header("x-picp-cache") != nullptr)
+      copy.set_header("X-Picp-Cache", "hit");
+    answer_member(member, std::move(copy));
   }
+}
+
+void EpollReactor::answer_member(Member& member, HttpResponse response) {
+  member.answered = true;
+  --joined_;
+  // The member ran nothing: its whole request, arrival to now, was wait.
+  RequestTrace& trace = *member.trace;
+  trace.role = "member";
+  trace.batch_wait_us = trace.now_us() - trace.arrived_us;
+  if (response.header("x-picp-cache") != nullptr) trace.cache_tier = "hit";
+  if (const std::string* stage = response.header("x-picp-deadline-stage"))
+    trace.deadline_stage = *stage;
+  answer(member, std::move(response));
+}
+
+void EpollReactor::answer(const Member& member, HttpResponse response) {
+  RequestTrace& trace = *member.trace;
+  Conn* conn = conn_by_id(member.conn_id);
+  if (conn == nullptr) {
+    // The member hung up before the answer — its record still closes.
+    finalize_trace(trace, response.status);
+    return;
+  }
+  // Only the Connection and trace-id headers are per-member.
+  const bool close_after =
+      member.close_after || stop_.load(std::memory_order_relaxed);
+  response.set_header("Connection", close_after ? "close" : "keep-alive");
+  response.set_header("X-Picp-Trace-Id", trace.id);
+  fill_slot(*conn, member.seq, response, close_after);
+  finalize_trace(trace, response.status);
+  flush(*conn);
 }
 
 void EpollReactor::fill_slot(Conn& conn, std::uint64_t seq,
@@ -861,6 +842,31 @@ void EpollReactor::expire_deadlines() {
   }
 }
 
+void EpollReactor::expire_members() {
+  const TimePoint t = now();
+  if (t < next_member_expiry_) return;
+  next_member_expiry_ = TimePoint::max();
+  for (const auto& [key, execution] : inflight_) {
+    for (std::size_t i = 1; i < execution->members.size(); ++i) {
+      Member& member = execution->members[i];
+      if (member.answered) continue;
+      if (member.deadline > t) {
+        next_member_expiry_ = std::min(next_member_expiry_, member.deadline);
+        continue;
+      }
+      // The execution it joined is still running: answer the member now,
+      // as the service answers a budget spent at a stage boundary.
+      HttpResponse response =
+          error_response(504, DeadlineExceeded("cache.wait").what());
+      response.set_header("X-Picp-Deadline-Stage", "cache.wait");
+      bump("serve.deadline_exceeded");
+      bump("serve.deadline.stage.cache.wait");
+      member.trace->batch_size = execution->members.size();
+      answer_member(member, std::move(response));
+    }
+  }
+}
+
 void EpollReactor::close_conn(Conn& conn) {
   if (conn.fd < 0) return;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
@@ -900,8 +906,7 @@ int EpollReactor::next_wait_ms(int max_wait_ms) const {
   if (max_wait_ms <= 0) return max_wait_ms;
   TimePoint earliest = TimePoint::max();
   if (options_.request_timeout_ms > 0) earliest = next_expiry_;
-  for (const auto& batch : open_batches_)
-    earliest = std::min(earliest, batch.dispatch_at);
+  earliest = std::min(earliest, next_member_expiry_);
   if (accept_paused_) earliest = std::min(earliest, accept_resume_);
   if (earliest == TimePoint::max()) return max_wait_ms;
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -948,18 +953,15 @@ HttpResponse EpollReactor::busy_response() const {
 void EpollReactor::publish_gauges() {
   if (!telemetry::enabled()) return;
   auto& reg = telemetry::registry();
-  std::size_t open_members = 0;
-  for (const Batch& batch : open_batches_)
-    open_members += batch.members.size();
   std::lock_guard<std::mutex> lock(stats_mutex_);
   reg.gauge("serve.active_connections")
       .set(static_cast<double>(stats_.active_connections));
   reg.gauge("serve.queue_depth")
       .set(static_cast<double>(stats_.pending_requests));
-  // In-flight = handler executions running + requests parked in open
-  // coalescing windows: everything accepted but not yet answered.
+  // In-flight = handler executions + members joined onto them: everything
+  // accepted but not yet answered.
   reg.gauge("serve.inflight")
-      .set(static_cast<double>(stats_.pending_requests + open_members));
+      .set(static_cast<double>(stats_.pending_requests + joined_));
 }
 
 }  // namespace picp::serve

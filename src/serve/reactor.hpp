@@ -15,14 +15,14 @@
 // deadline expiry, and EMFILE backoff deterministically, without one real
 // timer.
 //
-// Request batching generalizes the artifact cache's single-flight from
-// "identical key already computing" to "batchable requests arriving within
-// a window": requests with identical method+target+body (+deadline header)
-// that arrive inside `batch_window_ms` of the first one are coalesced into
-// ONE handler execution; every member receives a byte-identical copy of
-// the rendered body (headers may differ only in Connection). A window of 0
-// still coalesces requests parsed in the same event-loop cycle — zero
-// added latency, which is why it is the default.
+// Coalescing: a request whose `coalesce_key` is non-empty joins the open
+// or running handler execution with the same key, until that execution's
+// completion is delivered; every member receives a byte-identical copy of
+// the rendered body. Joining never takes a worker and never sheds. A new
+// key is dispatched at the end of the read phase, so twins parsed in the
+// same event-loop cycle coalesce even under inline dispatch. A member
+// whose own X-Picp-Deadline-Ms budget runs out first gets a 504 at that
+// deadline, so a wedged execution cannot strand later requests.
 //
 // Backpressure has two layers, both 503 + Retry-After:
 //   - connection cap (`max_connections`): shed at accept, as before;
@@ -62,14 +62,11 @@ struct ReactorOptions {
   int drain_timeout_ms = 10000;
   /// Advisory client back-off stamped on every 503.
   int retry_after_seconds = 1;
-  /// Coalescing window for batchable requests (0 = same-cycle only).
-  int batch_window_ms = 0;
-  /// Largest batch one handler execution may serve.
-  std::size_t max_batch = 64;
   /// How long to stop accepting after EMFILE/ENFILE before retrying.
   int accept_backoff_ms = 100;
-  /// Which requests may share one handler execution. Unset = none.
-  std::function<bool(const HttpRequest&)> batchable;
+  /// Content key of a request: requests with equal non-empty keys share
+  /// one handler execution while it is in flight. Unset or "" = solo.
+  std::function<std::string(const HttpRequest&)> coalesce_key;
   /// Emit Chrome-trace spans for every Nth finished request (0 = never).
   std::uint64_t trace_sample_n = 0;
   /// Always emit spans for requests slower than this (0 = never).
@@ -89,8 +86,8 @@ struct ReactorStats {
   std::uint64_t requests = 0;         // complete requests parsed
   std::uint64_t timeouts = 0;         // 408s + idle keep-alive closes
   std::uint64_t accept_backoffs = 0;  // EMFILE/ENFILE pauses entered
-  std::uint64_t batch_leaders = 0;    // handler executions serving a batch
-  std::uint64_t batch_members = 0;    // requests coalesced onto a leader
+  std::uint64_t batch_leaders = 0;    // executions that gained a member
+  std::uint64_t batch_members = 0;    // requests joined onto an execution
   std::size_t active_connections = 0;
   std::size_t peak_connections = 0;
   std::size_t pending_requests = 0;   // handler executions in flight
@@ -118,7 +115,7 @@ class EpollReactor {
   void adopt(int fd, bool from_loopback = true);
 
   /// One event-loop cycle: wait at most `max_wait_ms` (0 = poll), handle
-  /// readiness, drain worker completions, dispatch due batches, expire
+  /// readiness, dispatch new executions, drain worker completions, expire
   /// timers. Returns the number of epoll events handled.
   int run_once(int max_wait_ms);
 
@@ -166,28 +163,31 @@ class EpollReactor {
     TimePoint deadline{};        // receive/idle budget expiry
   };
 
-  /// A request waiting for (or riding on) one handler execution. Every
-  /// member carries its own RequestTrace (own id, own arrival timeline);
-  /// members[0]'s trace additionally records the shared execution.
+  /// One request answered by a handler execution. Every member carries
+  /// its own RequestTrace; the leader's (members[0]) also records the
+  /// execution itself.
   struct Member {
     std::uint64_t conn_id = 0;
     std::uint64_t seq = 0;
     bool close_after = false;
+    TimePoint deadline = TimePoint::max();  // joined members only
+    bool answered = false;  // a joined member already got its own 504
     std::shared_ptr<RequestTrace> trace;
   };
 
-  /// An open coalescing window: identical requests join until the window
-  /// expires or the batch is full, then one handler execution serves all.
-  struct Batch {
-    HttpRequest request;  // the leader's request (identity of the batch)
+  /// One handler execution and the requests it answers. Reactor thread
+  /// only: a worker sees just the request and the leader's trace, so
+  /// members may join (or expire) while it runs.
+  struct Execution {
+    std::string key;  // "" = solo, never joined
+    HttpRequest request;
     std::vector<Member> members;
-    TimePoint dispatch_at{};
   };
 
   /// A finished handler execution on its way back to the reactor thread.
   struct Completion {
     HttpResponse response;
-    std::vector<Member> members;
+    std::shared_ptr<Execution> execution;
   };
 
   TimePoint now() const { return clock_(); }
@@ -220,16 +220,24 @@ class EpollReactor {
   void handle_readable(Conn& conn);
   void handle_writable(Conn& conn);
   void on_request(Conn& conn, HttpRequest&& request);
-  void dispatch(Batch&& batch);
-  void execute(const HttpRequest& request, std::vector<Member> members);
-  void deliver(const HttpResponse& response,
-               const std::vector<Member>& members);
+  /// Add `member` to an in-flight execution (never sheds, takes no worker).
+  void join(Execution& execution, Member&& member,
+            const HttpRequest& request);
+  /// Run an execution inline, or hand it to the pool.
+  void dispatch(const std::shared_ptr<Execution>& execution);
+  /// Answer every member of a finished execution.
+  void deliver(Execution& execution, const HttpResponse& response);
+  /// Fill one member's slot with its copy of a response, then finalize.
+  void answer(const Member& member, HttpResponse response);
+  /// answer() for a joined member: records its wait and annotations.
+  void answer_member(Member& member, HttpResponse response);
   void fill_slot(Conn& conn, std::uint64_t seq, const HttpResponse& response,
                  bool close_after);
   void flush(Conn& conn);
   void drain_completions();
-  void dispatch_due_batches(bool force);
   void expire_deadlines();
+  /// 504 every joined member whose own deadline has passed.
+  void expire_members();
   void close_conn(Conn& conn);
   void update_epoll(Conn& conn, bool want_write);
   void touch(Conn& conn);
@@ -257,8 +265,14 @@ class EpollReactor {
   // readiness for a connection an earlier event killed).
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::vector<std::uint64_t> dead_;   // defunct conns to reap after events
-  std::vector<Batch> open_batches_;
+  /// Keyed executions accepting members: opened this cycle or running.
+  std::unordered_map<std::string, std::shared_ptr<Execution>> inflight_;
+  /// Executions opened this cycle, dispatched after the read phase.
+  std::vector<std::shared_ptr<Execution>> opened_;
+  std::size_t joined_ = 0;  // members waiting on an in-flight execution
   TimePoint next_expiry_ = TimePoint::max();  // earliest conn deadline
+  /// Earliest deadline among joined members still waiting.
+  TimePoint next_member_expiry_ = TimePoint::max();
 
   std::atomic<bool> stop_{false};
 

@@ -66,15 +66,6 @@ void RequestTrace::add_stage(const char* name, double start_us,
   stages_.push_back({name, start_us, dur_us});
 }
 
-void RequestTrace::copy_execution_from(const RequestTrace& leader) {
-  stages_ = leader.stages_;
-  handler_start_us = leader.handler_start_us;
-  queue_wait_us = leader.queue_wait_us;
-  handler_us = leader.handler_us;
-  cache_tier = leader.cache_tier;
-  deadline_stage = leader.deadline_stage;
-}
-
 void RequestTrace::emit_spans(telemetry::SpanTracer& tracer) const {
   // The injected clock and the tracer epoch are unrelated; re-anchor the
   // request so it *ends* at the tracer's now — offsets within the request

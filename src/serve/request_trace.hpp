@@ -1,9 +1,10 @@
 #pragma once
 
 // Per-request observability record. The reactor creates one RequestTrace
-// per parsed request (including each member of a coalesced batch), stamps
-// the wait phases it alone can see (arrival → batch dispatch → handler
-// start), and the service annotates pipeline stages through a thread-local
+// per parsed request (including each member joined onto another request's
+// execution), stamps the wait phases it alone can see (arrival → dispatch
+// → handler start; a member's whole life is batch wait, arrival →
+// delivery), and the service annotates pipeline stages through a thread-local
 // "current trace" that the reactor scopes around the handler call. After
 // the response is filled the reactor finalizes the trace: RED metrics,
 // optional Chrome-trace span emission (sampling knob + slow-request
@@ -62,9 +63,9 @@ class RequestTrace {
 
   // --- timeline (all microseconds on the injected clock) ---------------
   double arrived_us = 0.0;        // request fully parsed
-  double dispatch_us = 0.0;       // batch dispatched to execution
+  double dispatch_us = 0.0;       // execution dispatched
   double handler_start_us = 0.0;  // handler entered (worker or inline)
-  double batch_wait_us = 0.0;     // arrival → dispatch
+  double batch_wait_us = 0.0;     // arrival → dispatch (member: delivery)
   double queue_wait_us = 0.0;     // dispatch → handler start
   double handler_us = 0.0;        // handler wall time
   double total_us = 0.0;          // arrival → response filled
@@ -77,11 +78,6 @@ class RequestTrace {
 
   void add_stage(const char* name, double start_us, double dur_us);
   const std::vector<StageTiming>& stages() const { return stages_; }
-
-  /// Adopt the shared handler execution of a batch leader: stages, handler
-  /// timings, cache tier, and deadline stage (a member's response IS the
-  /// leader's execution). The member keeps its own arrival/wait timeline.
-  void copy_execution_from(const RequestTrace& leader);
 
   /// Emit the request as Chrome-trace spans: one "request" span plus
   /// "queue" / "batch-wait" and every recorded stage, re-anchored so the

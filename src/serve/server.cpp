@@ -15,19 +15,6 @@
 
 namespace picp::serve {
 
-namespace {
-
-/// Default batchable predicate: the two generation-backed endpoints whose
-/// responses are pure functions of the request body — exactly the requests
-/// a coalesced execution can answer for many peers at once.
-bool default_batchable(const HttpRequest& request) {
-  return request.method == "POST" &&
-         (request.target == "/v1/predict" ||
-          request.target == "/v1/workload");
-}
-
-}  // namespace
-
 HttpServer::HttpServer(const ServerOptions& options, Handler handler)
     : options_(options), handler_(std::move(handler)) {
   PICP_REQUIRE(handler_ != nullptr, "HttpServer needs a handler");
@@ -71,11 +58,8 @@ HttpServer::HttpServer(const ServerOptions& options, Handler handler)
   reactor_options.request_timeout_ms = options_.request_timeout_ms;
   reactor_options.drain_timeout_ms = options_.drain_timeout_ms;
   reactor_options.retry_after_seconds = options_.retry_after_seconds;
-  reactor_options.batch_window_ms = options_.batch_window_ms;
-  reactor_options.max_batch = options_.max_batch;
   reactor_options.accept_backoff_ms = options_.accept_backoff_ms;
-  reactor_options.batchable =
-      options_.batchable ? options_.batchable : default_batchable;
+  reactor_options.coalesce_key = options_.coalesce_key;
   reactor_options.trace_sample_n = options_.trace_sample_n;
   reactor_options.slow_request_ms = options_.slow_request_ms;
   if (!options_.access_log_path.empty())
@@ -139,8 +123,7 @@ std::uint64_t HttpServer::access_log_lines() const {
 void HttpServer::run() {
   PICP_LOG_INFO << "serving on " << options_.host << ":" << port_ << " ("
                 << pool_->size() << " workers, max "
-                << options_.max_connections << " connections, batch window "
-                << options_.batch_window_ms << " ms)";
+                << options_.max_connections << " connections)";
   reactor_->listen_on(listen_fd_);
   reactor_->run();
   pool_->wait_idle();

@@ -32,16 +32,11 @@ struct ServerOptions {
   int drain_timeout_ms = 10000;
   /// Advisory client back-off stamped on 503 responses.
   int retry_after_seconds = 1;
-  /// Coalescing window for batchable requests (0 = same-event-loop-cycle
-  /// only, which adds zero latency and is the default).
-  int batch_window_ms = 0;
-  /// Largest batch one handler execution may serve.
-  std::size_t max_batch = 64;
   /// Accept pause after EMFILE/ENFILE before retrying.
   int accept_backoff_ms = 100;
-  /// Which requests may coalesce into one handler execution. Unset picks
-  /// the picpredict default: POST /v1/predict and /v1/workload.
-  std::function<bool(const HttpRequest&)> batchable;
+  /// Content key under which in-flight requests share one handler
+  /// execution (PredictionService::coalesce_key). Unset = none coalesce.
+  std::function<std::string(const HttpRequest&)> coalesce_key;
   /// Emit Chrome-trace spans for every Nth finished request (0 = never).
   std::uint64_t trace_sample_n = 0;
   /// Always emit spans for requests slower than this (0 = never).
@@ -70,9 +65,9 @@ struct ServerStats {
 };
 
 /// HTTP/1.1 server: one epoll reactor thread (accept + parse + flush)
-/// feeding a picp::ThreadPool with complete requests. Identical batchable
-/// requests arriving within the batching window coalesce into one handler
-/// execution (see EpollReactor). No TLS, no chunked encoding — this fronts
+/// feeding a picp::ThreadPool with complete requests. A request whose
+/// coalesce_key matches an in-flight execution joins it instead of taking
+/// a worker (see EpollReactor). No TLS, no chunked encoding — this fronts
 /// picpredict's own query clients on a trusted network, not the open
 /// internet.
 ///

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "mapping/mapper.hpp"
 #include "serve/request_trace.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/prometheus.hpp"
@@ -39,6 +40,17 @@ double number_field(const Json& body, const std::string& key,
 }
 
 std::string json_line(const Json& json) { return json.dump() + "\n"; }
+
+/// Upper bound on "interval_stride" and "max_intervals": far beyond any
+/// trace's sample count, and exactly representable as a double.
+constexpr double kMaxIntervalCount = 1e9;
+
+/// Largest body coalesce_key() parses. The key is computed on the reactor
+/// thread, where parsing a multi-megabyte body would stall every
+/// connection (a 4 MiB array of numbers took ~0.3 s on a 4-core VM); a
+/// real query, at most 64 rank counts, is well under 1 KiB. A larger body
+/// runs alone and is parsed on a worker.
+constexpr std::size_t kMaxKeyedBodyBytes = 4096;
 
 }  // namespace
 
@@ -151,6 +163,38 @@ std::uint64_t PredictionService::request_fingerprint(
   return crc.value();
 }
 
+std::uint64_t PredictionService::response_key(
+    bool predict, const std::vector<PredictionConfig>& configs) const {
+  // The key covers every config in the request, so a reordered ranks list
+  // is a different artifact (its JSON differs too).
+  Crc32c key;
+  if (!predict)
+    key.update_pod(std::uint64_t{0x574b4c44});  // namespace: "WKLD" responses
+  for (const PredictionConfig& config : configs)
+    key.update_pod(predict ? request_fingerprint(config)
+                           : workload_fingerprint(config));
+  return key.value();
+}
+
+std::string PredictionService::coalesce_key(
+    const HttpRequest& request) const {
+  if (request.method != "POST") return "";
+  const std::string path = target_path(request.target);
+  const bool predict = path == "/v1/predict";
+  if (!predict && path != "/v1/workload") return "";
+  if (request.body.size() > kMaxKeyedBodyBytes) return "";
+  std::vector<PredictionConfig> configs;
+  try {
+    configs = parse_request(request.body);
+  } catch (const Error&) {
+    return "";  // a rejected body is answered alone
+  }
+  const std::string* deadline = request.header("x-picp-deadline-ms");
+  return request.target + '\n' +
+         std::to_string(response_key(predict, configs)) + '\n' +
+         (deadline != nullptr ? "d" + *deadline : "-");
+}
+
 std::vector<PredictionConfig> PredictionService::parse_request(
     const std::string& body) const {
   Json request;
@@ -171,15 +215,22 @@ std::vector<PredictionConfig> PredictionService::parse_request(
       throw BadRequest("field \"mapper\" must be a string");
     base.mapper_kind = mapper->as_string();
   }
+  if (!is_mapper_kind(base.mapper_kind))
+    throw BadRequest("unknown mapper kind: \"" + base.mapper_kind + "\"");
   base.filter_size = number_field(request, "filter", base.filter_size);
   if (base.filter_size <= 0.0)
     throw BadRequest("field \"filter\" must be positive");
+  // Range checks precede the size_t casts: a double at or above 2^64 has
+  // no size_t value at all.
   const double stride = number_field(request, "interval_stride", 1.0);
-  if (stride < 1.0) throw BadRequest("\"interval_stride\" must be >= 1");
+  if (stride < 1.0 || stride > kMaxIntervalCount)
+    throw BadRequest("\"interval_stride\" must be in [1, 1e9]");
   base.interval_stride = static_cast<std::size_t>(stride);
   const double max_intervals = number_field(request, "max_intervals", 0.0);
-  if (max_intervals < 0.0) throw BadRequest("\"max_intervals\" must be >= 0");
-  if (max_intervals > 0.0)
+  if (max_intervals != 0.0 &&
+      !(max_intervals >= 1.0 && max_intervals <= kMaxIntervalCount))
+    throw BadRequest("\"max_intervals\" must be 0 (all) or in [1, 1e9]");
+  if (max_intervals != 0.0)
     base.max_intervals = static_cast<std::size_t>(max_intervals);
 
   const Json* ranks = request.find("ranks");
@@ -223,7 +274,7 @@ std::shared_ptr<const WorkloadResult> PredictionService::workload_for(
         std::lock_guard<std::mutex> lock(trace_mutex_);
         return pipeline_->generate_workload(*trace_, config);
       },
-      &from_cache, config.deadline);
+      &from_cache);
   if (telemetry::enabled())
     telemetry::registry()
         .counter(from_cache ? "serve.cache.workload.hits"
@@ -356,17 +407,12 @@ std::string PredictionService::handle_predict(const std::string& body,
   std::vector<PredictionConfig> configs = parse_request(body);
   for (PredictionConfig& config : configs) config.deadline = deadline;
 
-  // The response key covers every config in the batch, so a reordered
-  // ranks list is a different artifact (its JSON differs too).
-  Crc32c key;
-  for (const PredictionConfig& config : configs)
-    key.update_pod(request_fingerprint(config));
-  // "cache" covers the lookup and any single-flight wait; the nested
-  // generate/simulate/render stages subtract themselves out, so a hit
-  // shows pure cache time and a miss shows only the cache machinery.
+  // "cache" covers the lookup; the nested generate/simulate/render stages
+  // subtract themselves out, so a hit shows pure cache time and a miss
+  // shows only the cache machinery.
   const RequestTrace::Stage cache_stage("cache");
   auto rendered = response_cache_.get_or_compute(
-      key.value(),
+      response_key(/*predict=*/true, configs),
       [this, &configs] {
         Json results = Json::array();
         for (const PredictionConfig& config : configs) {
@@ -393,7 +439,7 @@ std::string PredictionService::handle_predict(const std::string& body,
         reply.set("results", std::move(results));
         return json_line(reply);
       },
-      from_cache, deadline, config_.allow_stale, degraded);
+      from_cache, config_.allow_stale, degraded);
   if (telemetry::enabled())
     telemetry::registry()
         .counter(*from_cache ? "serve.cache.response.hits"
@@ -409,13 +455,9 @@ std::string PredictionService::handle_workload(const std::string& body,
   std::vector<PredictionConfig> configs = parse_request(body);
   for (PredictionConfig& config : configs) config.deadline = deadline;
 
-  Crc32c key;
-  key.update_pod(std::uint64_t{0x574b4c44});  // namespace: "WKLD" responses
-  for (const PredictionConfig& config : configs)
-    key.update_pod(workload_fingerprint(config));
   const RequestTrace::Stage cache_stage("cache");
   auto rendered = response_cache_.get_or_compute(
-      key.value(),
+      response_key(/*predict=*/false, configs),
       [this, &configs] {
         Json results = Json::array();
         for (const PredictionConfig& config : configs) {
@@ -442,7 +484,7 @@ std::string PredictionService::handle_workload(const std::string& body,
         reply.set("results", std::move(results));
         return json_line(reply);
       },
-      from_cache, deadline, config_.allow_stale, degraded);
+      from_cache, config_.allow_stale, degraded);
   if (telemetry::enabled())
     telemetry::registry()
         .counter(*from_cache ? "serve.cache.response.hits"
@@ -458,14 +500,10 @@ void PredictionService::publish_cache_counters() {
   const ArtifactCacheStats response = response_cache_.stats();
   reg.gauge("serve.cache.workload.resident")
       .set(static_cast<double>(workload_cache_.size()));
-  reg.gauge("serve.cache.workload.inflight_waits")
-      .set(static_cast<double>(workload.inflight_waits));
   reg.gauge("serve.cache.workload.evictions")
       .set(static_cast<double>(workload.evictions));
   reg.gauge("serve.cache.response.resident")
       .set(static_cast<double>(response_cache_.size()));
-  reg.gauge("serve.cache.response.inflight_waits")
-      .set(static_cast<double>(response.inflight_waits));
   reg.gauge("serve.cache.response.evictions")
       .set(static_cast<double>(response.evictions));
   reg.gauge("serve.cache.response.disk_hits")

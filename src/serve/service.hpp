@@ -62,12 +62,14 @@ struct ServiceConfig {
 ///
 /// The hot path is content-addressed: each query config is fingerprinted
 /// (CRC of trace identity + mesh + request parameters) and resolved
-/// through two single-flight LRU caches — WorkloadResults (expensive to
-/// generate, shared across /v1/predict and /v1/workload) and rendered
-/// response bodies (guarantees byte-identical replies for identical
-/// queries). The trace is opened once per process; generation streams it
-/// under a mutex, so concurrent distinct configs serialize on the reader
-/// while cached configs never touch it.
+/// through two LRU caches — WorkloadResults (expensive to generate, reused
+/// across /v1/predict and /v1/workload) and rendered response bodies
+/// (guarantees byte-identical replies for identical queries). The caches
+/// hold no in-flight state: coalesce_key() lets the reactor join
+/// equivalent in-flight requests before they reach the service. The trace
+/// is opened once per process; generation streams it under a mutex, so
+/// concurrent distinct configs serialize on the reader while cached
+/// configs never touch it.
 class PredictionService {
  public:
   explicit PredictionService(const ServiceConfig& config);
@@ -80,6 +82,13 @@ class PredictionService {
   /// can assert cache keying (same config → same key, any field change →
   /// new key).
   std::uint64_t request_fingerprint(const PredictionConfig& config) const;
+
+  /// The reactor's coalescing key (ReactorOptions::coalesce_key): the full
+  /// target, the response-cache key of the parsed configs (so reordered
+  /// keys, a scalar `ranks` and spelled-out defaults all match), and the
+  /// X-Picp-Deadline-Ms value. "" for anything but a valid POST to
+  /// /v1/predict or /v1/workload with a body of at most 4 KiB.
+  std::string coalesce_key(const HttpRequest& request) const;
 
   const ServiceConfig& config() const { return config_; }
   bool models_loaded() const { return models_loaded_; }
@@ -107,6 +116,10 @@ class PredictionService {
 
   /// Parse + validate the request body into per-rank-count configs.
   std::vector<PredictionConfig> parse_request(const std::string& body) const;
+  /// Response-cache key of one request's configs, per endpoint.
+  std::uint64_t response_key(bool predict,
+                             const std::vector<PredictionConfig>& configs)
+      const;
   std::shared_ptr<const WorkloadResult> workload_for(
       const PredictionConfig& config);
   std::uint64_t workload_fingerprint(const PredictionConfig& config) const;

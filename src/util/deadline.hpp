@@ -10,7 +10,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <string>
 
 #include "util/error.hpp"
@@ -46,22 +45,7 @@ class Deadline {
     return deadline;
   }
 
-  bool limited() const { return limited_; }
-
   bool expired() const { return limited_ && Clock::now() >= expiry_; }
-
-  /// Milliseconds until expiry; 0 when expired, a large value when
-  /// unlimited (callers use it to bound waits).
-  std::int64_t remaining_ms() const {
-    if (!limited_) return std::numeric_limits<std::int64_t>::max() / 4;
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        expiry_ - Clock::now());
-    return left.count() > 0 ? left.count() : 0;
-  }
-
-  Clock::time_point time_point() const {
-    return limited_ ? expiry_ : Clock::time_point::max();
-  }
 
   /// Throw DeadlineExceeded(stage) if the budget is spent.
   void check(const char* stage) const {

@@ -1,18 +1,16 @@
 // Unit tests for the serving layer's content-addressed artifact cache:
-// LRU bounds, single-flight deduplication under real concurrency, exception
-// propagation to waiters, and the crash-safe disk spill tier.
+// LRU bounds, concurrent misses of one key, and the crash-safe disk spill
+// tier. (Coalescing identical in-flight requests is the reactor's job; see
+// test_reactor.cpp.)
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/artifact_cache.hpp"
 #include "util/deadline.hpp"
@@ -67,82 +65,6 @@ TEST(ArtifactCache, LruEvictsLeastRecentlyTouchedKey) {
   EXPECT_EQ(computes, 1) << "the evicted key must recompute";
 }
 
-TEST(ArtifactCache, HundredConcurrentIdenticalRequestsComputeOnce) {
-  // The serving acceptance criterion in miniature: N concurrent identical
-  // queries → exactly one compute, everyone gets the same artifact.
-  ArtifactCache<std::string> cache(4);
-  std::atomic<int> computes{0};
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool gate_open = false;
-
-  std::vector<std::thread> threads;
-  std::vector<std::shared_ptr<const std::string>> results(100);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    threads.emplace_back([&, i] {
-      {
-        std::unique_lock<std::mutex> lock(gate_mutex);
-        gate_cv.wait(lock, [&] { return gate_open; });
-      }
-      results[i] = cache.get_or_compute(99, [&] {
-        ++computes;
-        // Stay in flight long enough that the stragglers must join.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        return std::string("expensive artifact");
-      });
-    });
-  }
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    gate_open = true;
-  }
-  gate_cv.notify_all();
-  for (auto& t : threads) t.join();
-
-  EXPECT_EQ(computes.load(), 1);
-  for (const auto& r : results) {
-    ASSERT_NE(r, nullptr);
-    EXPECT_EQ(*r, "expensive artifact");
-    // Single-flight shares one object, not 100 copies.
-    EXPECT_EQ(r.get(), results[0].get());
-  }
-  const ArtifactCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits + stats.inflight_waits, 99u);
-}
-
-TEST(ArtifactCache, ThrowingComputeReachesWaitersAndNextCallRetries) {
-  ArtifactCache<int> cache(4);
-  std::atomic<int> attempts{0};
-
-  std::atomic<int> waiter_errors{0};
-  std::thread loser([&] {
-    // Give the main thread time to become the in-flight computer.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    try {
-      cache.get_or_compute(5, [&] { ++attempts; return 0; });
-    } catch (const Error&) {
-      ++waiter_errors;
-    }
-  });
-
-  EXPECT_THROW(cache.get_or_compute(5,
-                                    [&]() -> int {
-                                      ++attempts;
-                                      std::this_thread::sleep_for(
-                                          std::chrono::milliseconds(80));
-                                      throw Error("artifact build failed");
-                                    }),
-               Error);
-  loser.join();
-  // The waiter either joined the failing flight (got the exception) or
-  // arrived after the erase and retried successfully — both are legal;
-  // what is illegal is a poisoned key.
-  auto value = cache.get_or_compute(5, [&] { ++attempts; return 17; });
-  EXPECT_EQ(*value, 17);
-  EXPECT_GE(attempts.load(), 2);
-}
-
 TEST(ArtifactCache, EvictedEntriesSpillToDiskAndRepopulate) {
   const std::string dir = temp_dir("spill");
   ArtifactCache<std::string>::SpillHooks hooks;
@@ -190,19 +112,44 @@ TEST(ArtifactCache, CorruptSpillFileFallsBackToCompute) {
   fs::remove_all(dir);
 }
 
-TEST(ArtifactCache, DistinctKeysNeverSingleFlightTogether) {
-  ArtifactCache<int> cache(16);
-  std::atomic<int> computes{0};
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 8; ++i)
-    threads.emplace_back([&, i] {
-      cache.get_or_compute(static_cast<std::uint64_t>(i),
-                           [&] { ++computes; return i; });
-    });
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(computes.load(), 8);
-  EXPECT_EQ(cache.stats().misses, 8u);
-  EXPECT_EQ(cache.stats().inflight_waits, 0u);
+TEST(ArtifactCache, ConcurrentComputesOfOneKeyLeaveOneResidentEntry) {
+  // No single-flight: both callers miss and compute, both get a value,
+  // and the cache ends with one resident entry that later callers hit.
+  ArtifactCache<std::string> cache(4);
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  int computing = 0;
+
+  const auto compute = [&] {
+    // Hold each compute until both are in flight together.
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    ++computing;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return computing == 2; });
+    return std::string("artifact");
+  };
+  std::shared_ptr<const std::string> results[2];
+  bool from_cache[2] = {true, true};
+  std::thread first([&] {
+    results[0] = cache.get_or_compute(3, compute, &from_cache[0]);
+  });
+  results[1] = cache.get_or_compute(3, compute, &from_cache[1]);
+  first.join();
+
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_NE(results[i], nullptr);
+    EXPECT_EQ(*results[i], "artifact");
+    EXPECT_FALSE(from_cache[i]) << "caller " << i << " computed";
+  }
+  EXPECT_EQ(results[0].get(), results[1].get())
+      << "both callers must return the one resident value";
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  bool hit = false;
+  EXPECT_EQ(cache.get_or_compute(3, [] { return std::string("x"); }, &hit)
+                .get(),
+            results[0].get());
+  EXPECT_TRUE(hit);
 }
 
 TEST(ArtifactCache, ZeroCapacityIsClampedToOne) {
@@ -350,7 +297,7 @@ TEST(ArtifactCache, StaleTierServesDegradedWhenComputeFails) {
   bool degraded = false;
   auto value = cache.get_or_compute(
       1, [&]() -> std::string { throw Error("backend down"); }, &from_cache,
-      Deadline(), /*allow_stale=*/true, &degraded);
+      /*allow_stale=*/true, &degraded);
   EXPECT_EQ(*value, "last good");
   EXPECT_TRUE(degraded);
   EXPECT_TRUE(from_cache);
@@ -360,8 +307,8 @@ TEST(ArtifactCache, StaleTierServesDegradedWhenComputeFails) {
   // serving stale forever.
   degraded = false;
   auto healed = cache.get_or_compute(
-      1, [] { return std::string("fresh again"); }, &from_cache, Deadline(),
-      true, &degraded);
+      1, [] { return std::string("fresh again"); }, &from_cache, true,
+      &degraded);
   EXPECT_EQ(*healed, "fresh again");
   EXPECT_FALSE(degraded);
 }
@@ -382,59 +329,16 @@ TEST(ArtifactCache, DeadlineExpiryNeverServesStale) {
   cache.get_or_compute(2, [] { return std::string("evictor"); });
   bool degraded = false;
   try {
-    cache.get_or_compute(1, [] { return std::string("never runs"); }, nullptr,
-                         Deadline::after_ms(0), /*allow_stale=*/true,
-                         &degraded);
+    cache.get_or_compute(
+        1,
+        []() -> std::string { throw DeadlineExceeded("generate.partition"); },
+        nullptr, /*allow_stale=*/true, &degraded);
     FAIL() << "expired deadline must throw";
   } catch (const DeadlineExceeded& e) {
-    EXPECT_EQ(e.stage(), "cache.compute");
+    EXPECT_EQ(e.stage(), "generate.partition");
   }
   EXPECT_FALSE(degraded);
   EXPECT_EQ(cache.stats().stale_served, 0u);
-}
-
-TEST(ArtifactCache, WaiterDeadlineBoundsInflightWait) {
-  // A wedged computation must not strand waiters whose budget has expired
-  // — the single-flight dewedging half of the tentpole.
-  ArtifactCache<int> cache(4);
-  std::mutex gate_mutex;
-  std::condition_variable gate_cv;
-  bool computing = false;
-  bool release = false;
-
-  std::thread computer([&] {
-    cache.get_or_compute(8, [&] {
-      {
-        std::lock_guard<std::mutex> lock(gate_mutex);
-        computing = true;
-      }
-      gate_cv.notify_all();
-      std::unique_lock<std::mutex> lock(gate_mutex);
-      gate_cv.wait(lock, [&] { return release; });
-      return 42;
-    });
-  });
-  {
-    std::unique_lock<std::mutex> lock(gate_mutex);
-    gate_cv.wait(lock, [&] { return computing; });
-  }
-  try {
-    cache.get_or_compute(8, [] { return -1; }, nullptr,
-                         Deadline::after_ms(30));
-    FAIL() << "waiter must give up at its deadline";
-  } catch (const DeadlineExceeded& e) {
-    EXPECT_EQ(e.stage(), "cache.wait");
-  }
-  {
-    std::lock_guard<std::mutex> lock(gate_mutex);
-    release = true;
-  }
-  gate_cv.notify_all();
-  computer.join();
-  // The flight itself was healthy: once it lands, the key serves normally.
-  bool from_cache = false;
-  EXPECT_EQ(*cache.get_or_compute(8, [] { return -1; }, &from_cache), 42);
-  EXPECT_TRUE(from_cache);
 }
 
 }  // namespace

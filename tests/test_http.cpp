@@ -1,7 +1,11 @@
 // Wire-level tests for the from-scratch HTTP/1.1 framing in src/serve.
-// Each test drives an HttpConnection over one end of a socketpair and
-// speaks raw bytes on the other, so the parser sees exactly the stream a
-// peer would produce — including malformed, truncated, and oversized ones.
+// Request framing is tested on the parser the daemon actually runs:
+// RequestParser, fed raw bytes with feed()/next() — no sockets, threads or
+// timeouts — including malformed, truncated, oversized and arbitrarily
+// split streams. The blocking client's read_response() shares the head and
+// Content-Length rules; its cases drive an HttpConnection over one end of
+// a socketpair and speak raw bytes on the other, so EOF and stalls are
+// real.
 
 #include <gtest/gtest.h>
 
@@ -10,16 +14,43 @@
 
 #include <memory>
 #include <string>
-#include <thread>
+#include <vector>
 
 #include "serve/http.hpp"
+#include "serve/http_parser.hpp"
+#include "util/rng.hpp"
 
 namespace picp::serve {
 namespace {
 
+/// Every request framed by feeding `bytes` in one call.
+std::vector<HttpRequest> parse_all(const std::string& bytes,
+                                   const HttpLimits& limits = {}) {
+  RequestParser parser(limits);
+  parser.feed(bytes.data(), bytes.size());
+  std::vector<HttpRequest> requests;
+  HttpRequest request;
+  while (parser.next(request)) requests.push_back(std::move(request));
+  return requests;
+}
+
+/// Status of the HttpError that feeding `bytes` raises; 0 when none does.
+int parse_error_status(const std::string& bytes,
+                       const HttpLimits& limits = {}) {
+  RequestParser parser(limits);
+  try {
+    parser.feed(bytes.data(), bytes.size());
+  } catch (const HttpError& e) {
+    return e.status();
+  }
+  return 0;
+}
+
+/// An HttpConnection (the client side under test) over a socketpair whose
+/// other end the test scripts byte by byte.
 struct WirePair {
-  std::unique_ptr<HttpConnection> conn;  // the side under test
-  int raw = -1;                          // the scripted peer
+  std::unique_ptr<HttpConnection> conn;
+  int raw = -1;
 
   WirePair() {
     int fds[2];
@@ -49,6 +80,17 @@ struct WirePair {
     }
     return out;
   }
+
+  /// Status of the HttpError read_response raises; 0 when none does.
+  int read_error_status(const HttpLimits& limits) {
+    HttpResponse response;
+    try {
+      conn->read_response(response, limits);
+    } catch (const HttpError& e) {
+      return e.status();
+    }
+    return 0;
+  }
 };
 
 HttpLimits quick_limits() {
@@ -58,10 +100,10 @@ HttpLimits quick_limits() {
 }
 
 TEST(HttpParse, SimpleGetRequest) {
-  WirePair wire;
-  wire.send("GET /healthz HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n");
-  HttpRequest request;
-  ASSERT_TRUE(wire.conn->read_request(request, quick_limits()));
+  const auto requests =
+      parse_all("GET /healthz HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n");
+  ASSERT_EQ(requests.size(), 1u);
+  const HttpRequest& request = requests[0];
   EXPECT_EQ(request.method, "GET");
   EXPECT_EQ(request.target, "/healthz");
   EXPECT_EQ(request.version, "HTTP/1.1");
@@ -71,173 +113,189 @@ TEST(HttpParse, SimpleGetRequest) {
 }
 
 TEST(HttpParse, HeaderNamesAreCaseInsensitiveByConstruction) {
-  WirePair wire;
-  wire.send("POST /v1/predict HTTP/1.1\r\nCoNtEnT-LeNgTh: 2\r\n\r\nhi");
-  HttpRequest request;
-  ASSERT_TRUE(wire.conn->read_request(request, quick_limits()));
-  EXPECT_EQ(request.body, "hi");
-  ASSERT_NE(request.header("content-length"), nullptr);
+  const auto requests =
+      parse_all("POST /v1/predict HTTP/1.1\r\nCoNtEnT-LeNgTh: 2\r\n\r\nhi");
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].body, "hi");
+  ASSERT_NE(requests[0].header("content-length"), nullptr);
 }
 
 TEST(HttpParse, BodySplitAcrossManySegmentsReassembles) {
-  WirePair wire;
-  std::thread writer([&] {
-    wire.send("POST /v1/predict HTTP/1.1\r\nContent-Length: 10\r\n");
-    wire.send("\r\n12345");
-    wire.send("67890");
-  });
+  RequestParser parser(HttpLimits{});
   HttpRequest request;
-  ASSERT_TRUE(wire.conn->read_request(request, quick_limits()));
+  for (const std::string segment :
+       {"POST /v1/predict HTTP/1.1\r\nContent-Length: 10\r\n", "\r\n12345"}) {
+    parser.feed(segment.data(), segment.size());
+    EXPECT_FALSE(parser.next(request)) << "framed before the body arrived";
+    EXPECT_TRUE(parser.mid_message());
+  }
+  parser.feed("67890", 5);
+  ASSERT_TRUE(parser.next(request));
   EXPECT_EQ(request.body, "1234567890");
-  writer.join();
+  EXPECT_FALSE(parser.mid_message());
 }
 
 TEST(HttpParse, ConnectionCloseDisablesKeepAlive) {
-  WirePair wire;
-  wire.send("GET / HTTP/1.1\r\nConnection: close\r\n\r\n");
-  HttpRequest request;
-  ASSERT_TRUE(wire.conn->read_request(request, quick_limits()));
-  EXPECT_FALSE(request.keep_alive());
+  const auto requests =
+      parse_all("GET / HTTP/1.1\r\nConnection: close\r\n\r\n");
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_FALSE(requests[0].keep_alive());
 }
 
 TEST(HttpParse, BareLfLineEndingsTolerated) {
-  WirePair wire;
-  wire.send("GET /healthz HTTP/1.1\nHost: x\n\n");
-  HttpRequest request;
-  ASSERT_TRUE(wire.conn->read_request(request, quick_limits()));
-  EXPECT_EQ(request.target, "/healthz");
+  const auto requests = parse_all("GET /healthz HTTP/1.1\nHost: x\n\n");
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].target, "/healthz");
 }
 
 TEST(HttpParse, CleanEofBeforeFirstByteReturnsFalse) {
+  // Parser: nothing fed is a clean message boundary.
+  RequestParser parser(HttpLimits{});
+  HttpRequest request;
+  EXPECT_FALSE(parser.next(request));
+  EXPECT_FALSE(parser.mid_message());
+
+  // Client: a peer closing an idle keep-alive connection is not an error.
   WirePair wire;
   wire.close_peer();
-  HttpRequest request;
-  EXPECT_FALSE(wire.conn->read_request(request, quick_limits()));
+  HttpResponse response;
+  EXPECT_FALSE(wire.conn->read_response(response, quick_limits()));
 }
 
 TEST(HttpParse, EofMidMessageIsAnError) {
-  WirePair wire;
-  wire.send("GET /healthz HTTP/1.1\r\nHos");
-  wire.close_peer();
+  // Parser: a partial head is mid-message (the reactor's dirty EOF).
+  RequestParser parser(HttpLimits{});
+  const std::string partial = "GET /healthz HTTP/1.1\r\nHos";
+  parser.feed(partial.data(), partial.size());
   HttpRequest request;
-  try {
-    wire.conn->read_request(request, quick_limits());
-    FAIL() << "truncated head parsed";
-  } catch (const HttpError& e) {
-    EXPECT_EQ(e.status(), 400);
-  }
+  EXPECT_FALSE(parser.next(request));
+  EXPECT_TRUE(parser.mid_message());
+
+  // Client: EOF inside a response head is a 400.
+  WirePair wire;
+  wire.send("HTTP/1.1 200 OK\r\nContent-Le");
+  wire.close_peer();
+  EXPECT_EQ(wire.read_error_status(quick_limits()), 400);
 }
 
 TEST(HttpParse, MalformedRequestLineIs400) {
-  WirePair wire;
-  wire.send("COMPLETE NONSENSE\r\n\r\n");
-  HttpRequest request;
-  try {
-    wire.conn->read_request(request, quick_limits());
-    FAIL() << "garbage request line parsed";
-  } catch (const HttpError& e) {
-    EXPECT_EQ(e.status(), 400);
-  }
+  EXPECT_EQ(parse_error_status("COMPLETE NONSENSE\r\n\r\n"), 400);
 }
 
 TEST(HttpParse, NegativeContentLengthIs400) {
-  WirePair wire;
-  wire.send("POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n");
-  HttpRequest request;
-  try {
-    wire.conn->read_request(request, quick_limits());
-    FAIL() << "negative Content-Length accepted";
-  } catch (const HttpError& e) {
-    EXPECT_EQ(e.status(), 400);
-  }
+  EXPECT_EQ(parse_error_status("POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\n"),
+            400);
 }
 
 TEST(HttpParse, ChunkedTransferEncodingIs501) {
-  WirePair wire;
-  wire.send("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n");
-  HttpRequest request;
-  try {
-    wire.conn->read_request(request, quick_limits());
-    FAIL() << "chunked encoding accepted";
-  } catch (const HttpError& e) {
-    EXPECT_EQ(e.status(), 501);
-  }
+  EXPECT_EQ(parse_error_status(
+                "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
+            501);
 }
 
 TEST(HttpParse, OversizedCompleteHeaderBlockIs431) {
-  WirePair wire;
   HttpLimits limits = quick_limits();
   limits.max_header_bytes = 256;
-  std::string head = "GET / HTTP/1.1\r\nX-Big: ";
-  head.append(1024, 'a');
-  head += "\r\n\r\n";
-  wire.send(head);
-  HttpRequest request;
-  try {
-    wire.conn->read_request(request, limits);
-    FAIL() << "oversized header block accepted";
-  } catch (const HttpError& e) {
-    EXPECT_EQ(e.status(), 431);
-  }
+  std::string pad(1024, 'a');
+  EXPECT_EQ(parse_error_status("GET / HTTP/1.1\r\nX-Big: " + pad + "\r\n\r\n",
+                               limits),
+            431);
+
+  WirePair wire;
+  wire.send("HTTP/1.1 200 OK\r\nX-Big: " + pad + "\r\n\r\n");
+  EXPECT_EQ(wire.read_error_status(limits), 431);
 }
 
 TEST(HttpParse, UnterminatedHeaderStreamIs431) {
-  WirePair wire;
+  // No terminator at all: the cap must fire from buffered growth alone.
   HttpLimits limits = quick_limits();
   limits.max_header_bytes = 256;
-  // No terminator at all: the cap must fire from buffered growth alone.
-  std::string head = "GET / HTTP/1.1\r\nX-Drip: ";
-  head.append(1024, 'b');
-  wire.send(head);
-  HttpRequest request;
-  try {
-    wire.conn->read_request(request, limits);
-    FAIL() << "unterminated oversized header accepted";
-  } catch (const HttpError& e) {
-    EXPECT_EQ(e.status(), 431);
-  }
+  const std::string drip(1024, 'b');
+  EXPECT_EQ(parse_error_status("GET / HTTP/1.1\r\nX-Drip: " + drip, limits),
+            431);
+
+  WirePair wire;
+  wire.send("HTTP/1.1 200 OK\r\nX-Drip: " + drip);
+  EXPECT_EQ(wire.read_error_status(limits), 431);
 }
 
 TEST(HttpParse, OversizedBodyIsRejectedBeforeItIsRead) {
-  WirePair wire;
-  HttpLimits limits = quick_limits();
-  limits.max_body_bytes = 16;
   // Only the head is sent: the 413 must come from the declared length, not
   // from buffering a body we intend to refuse.
-  wire.send("POST / HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n");
-  HttpRequest request;
-  try {
-    wire.conn->read_request(request, limits);
-    FAIL() << "oversized body accepted";
-  } catch (const HttpError& e) {
-    EXPECT_EQ(e.status(), 413);
-  }
+  HttpLimits limits = quick_limits();
+  limits.max_body_bytes = 16;
+  EXPECT_EQ(parse_error_status(
+                "POST / HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n", limits),
+            413);
+
+  WirePair wire;
+  wire.send("HTTP/1.1 200 OK\r\nContent-Length: 1048576\r\n\r\n");
+  EXPECT_EQ(wire.read_error_status(limits), 413);
 }
 
 TEST(HttpParse, StalledPeerTimesOutWith408) {
+  // The parser has no clock (the reactor owns receive budgets; see
+  // test_reactor's slow-loris cases); the blocking client does.
   WirePair wire;
   HttpLimits limits;
   limits.io_timeout_ms = 60;
-  wire.send("GET / HTTP/1.1\r\nHost:");  // then silence
-  HttpRequest request;
-  try {
-    wire.conn->read_request(request, limits);
-    FAIL() << "stalled read did not time out";
-  } catch (const HttpError& e) {
-    EXPECT_EQ(e.status(), 408);
+  wire.send("HTTP/1.1 200 OK\r\nContent-Length:");  // then silence
+  EXPECT_EQ(wire.read_error_status(limits), 408);
+}
+
+TEST(HttpParse, AnySplitOfAPipelinedStreamParsesLikeOneFeed) {
+  // Property: framing depends on the bytes, never on how the socket
+  // happened to chunk them. A seeded stream of pipelined requests, cut at
+  // random points (single bytes included) and drained between feeds,
+  // yields exactly the requests one whole feed does.
+  Xoshiro256 rng(20210517);
+  const char* methods[] = {"GET", "POST", "PUT"};
+  std::string stream;
+  for (int i = 0; i < 24; ++i) {
+    const std::string eol = rng.uniform_below(4) == 0 ? "\n" : "\r\n";
+    const std::string body(rng.uniform_below(3) == 0 ? 0 : rng.uniform_below(40),
+                           static_cast<char>('a' + i % 26));
+    stream += std::string(methods[rng.uniform_below(3)]) + " /r" +
+              std::to_string(i) + " HTTP/1.1" + eol;
+    if (rng.uniform_below(2) == 0) stream += "X-Seq: " + std::to_string(i) + eol;
+    if (!body.empty() || rng.uniform_below(2) == 0)
+      stream += "Content-Length: " + std::to_string(body.size()) + eol;
+    stream += eol + body;
+  }
+  const std::vector<HttpRequest> whole = parse_all(stream);
+  ASSERT_EQ(whole.size(), 24u);
+
+  for (int trial = 0; trial < 200; ++trial) {
+    RequestParser parser(HttpLimits{});
+    std::vector<HttpRequest> split;
+    HttpRequest request;
+    for (std::size_t pos = 0; pos < stream.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + rng.uniform_below(trial % 2 == 0 ? 4 : 64),
+                                stream.size() - pos);
+      parser.feed(stream.data() + pos, n);
+      pos += n;
+      while (parser.next(request)) split.push_back(std::move(request));
+    }
+    EXPECT_FALSE(parser.mid_message());
+    ASSERT_EQ(split.size(), whole.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < whole.size(); ++i) {
+      EXPECT_EQ(split[i].method, whole[i].method);
+      EXPECT_EQ(split[i].target, whole[i].target);
+      EXPECT_EQ(split[i].version, whole[i].version);
+      EXPECT_EQ(split[i].headers, whole[i].headers);
+      EXPECT_EQ(split[i].body, whole[i].body);
+    }
   }
 }
 
 TEST(HttpRoundTrip, ResponseWriteThenParse) {
-  WirePair server_side;
   HttpResponse out;
   out.status = 404;
   out.set_header("Content-Type", "application/json");
   out.set_header("X-Picp-Cache", "miss");
   out.body = "{\"error\":\"no\"}";
-  server_side.conn->write_response(out);
-
-  const std::string wire_bytes = server_side.drain();
+  const std::string wire_bytes = serialize_response(out);
   EXPECT_NE(wire_bytes.find("HTTP/1.1 404 Not Found\r\n"), std::string::npos);
   EXPECT_NE(wire_bytes.find("Content-Length: 14\r\n"), std::string::npos);
 
@@ -259,32 +317,25 @@ TEST(HttpRoundTrip, RequestWriteThenParse) {
   out.body = "{\"ranks\":[16]}";
   client_side.conn->write_request(out, "127.0.0.1:9");
 
-  const std::string wire_bytes = client_side.drain();
-  WirePair server_side;
-  server_side.send(wire_bytes);
-  HttpRequest in;
-  ASSERT_TRUE(server_side.conn->read_request(in, quick_limits()));
-  EXPECT_EQ(in.method, "POST");
-  EXPECT_EQ(in.target, "/v1/predict");
-  EXPECT_EQ(in.body, out.body);
-  ASSERT_NE(in.header("host"), nullptr);
+  const auto requests = parse_all(client_side.drain());
+  ASSERT_EQ(requests.size(), 1u);
+  EXPECT_EQ(requests[0].method, "POST");
+  EXPECT_EQ(requests[0].target, "/v1/predict");
+  EXPECT_EQ(requests[0].body, out.body);
+  ASSERT_NE(requests[0].header("host"), nullptr);
 }
 
 TEST(HttpRoundTrip, PipelinedKeepAliveRequestsParseBackToBack) {
-  WirePair wire;
-  wire.send(
+  const auto requests = parse_all(
       "GET /a HTTP/1.1\r\n\r\n"
       "POST /b HTTP/1.1\r\nContent-Length: 3\r\n\r\nxyz"
       "GET /c HTTP/1.1\r\nConnection: close\r\n\r\n");
-  HttpRequest request;
-  ASSERT_TRUE(wire.conn->read_request(request, quick_limits()));
-  EXPECT_EQ(request.target, "/a");
-  ASSERT_TRUE(wire.conn->read_request(request, quick_limits()));
-  EXPECT_EQ(request.target, "/b");
-  EXPECT_EQ(request.body, "xyz");
-  ASSERT_TRUE(wire.conn->read_request(request, quick_limits()));
-  EXPECT_EQ(request.target, "/c");
-  EXPECT_FALSE(request.keep_alive());
+  ASSERT_EQ(requests.size(), 3u);
+  EXPECT_EQ(requests[0].target, "/a");
+  EXPECT_EQ(requests[1].target, "/b");
+  EXPECT_EQ(requests[1].body, "xyz");
+  EXPECT_EQ(requests[2].target, "/c");
+  EXPECT_FALSE(requests[2].keep_alive());
 }
 
 TEST(HttpRoundTrip, StatusReasonsCoverTheServingSet) {

@@ -229,28 +229,6 @@ TEST_F(RequestTraceTest, StagesAreNoOpsWithoutAnArmedCurrentTrace) {
   EXPECT_TRUE(trace.stages().empty());
 }
 
-TEST_F(RequestTraceTest, CopyExecutionAdoptsLeaderStagesAndAnnotations) {
-  RequestTrace leader = make_trace();
-  {
-    const RequestTrace::Scope scope(&leader);
-    const RequestTrace::Stage stage("generate");
-    advance_us(10000);
-    RequestTrace::note_cache("miss");
-  }
-  leader.handler_us = 10000.0;
-  leader.queue_wait_us = 123.0;
-
-  RequestTrace member = make_trace();
-  member.batch_wait_us = 777.0;
-  member.copy_execution_from(leader);
-  ASSERT_EQ(member.stages().size(), 1u);
-  EXPECT_STREQ(member.stages()[0].name, "generate");
-  EXPECT_STREQ(member.cache_tier, "miss");
-  EXPECT_DOUBLE_EQ(member.handler_us, 10000.0);
-  // The member keeps its own wait timeline.
-  EXPECT_DOUBLE_EQ(member.batch_wait_us, 777.0);
-}
-
 TEST_F(RequestTraceTest, EmitSpansCoversRequestWaitsAndStages) {
   RequestTrace trace = make_trace();
   trace.arrived_us = trace.now_us();

@@ -2,14 +2,15 @@
 // Every test drives the reactor through adopted socketpair ends and a
 // manually-advanced clock, single-stepping the event loop with
 // run_once(0) — so partial reads, pipelined bursts, slow-loris stalls,
-// mid-parse deadline expiry, EMFILE accept backoff, and batch-coalescing
-// windows replay exactly, with no real timers and no sleeps on the
-// assertion path.
+// mid-parse deadline expiry, EMFILE accept backoff, and coalescing onto
+// in-flight executions replay exactly, with no real timers and no sleeps
+// on the assertion path. Tests that need an execution to stay in flight
+// park it on a gate in a real ThreadPool worker.
 //
-// The last section is the batch-coalescing property test against the real
-// PredictionService: N identical-config /v1/workload queries arriving in
-// one window must cost exactly ONE workload generation (proven through
-// /metricsz served by the same reactor) and every member must receive a
+// The last section is the coalescing property test against the real
+// PredictionService: N equivalent /v1/workload queries in flight together
+// must cost exactly ONE workload generation (proven through /metricsz
+// served by the same reactor) and every member must receive a
 // byte-identical body; a mixed-config storm must never cross-contaminate.
 
 #include <gtest/gtest.h>
@@ -129,11 +130,64 @@ class ReactorTest : public testing::Test {
     ReactorOptions options;
     options.request_timeout_ms = 1000;
     options.accept_backoff_ms = 100;
-    options.batchable = [](const HttpRequest& r) {
-      return r.method == "POST" && (r.target == "/v1/workload" ||
-                                    r.target == "/v1/predict");
+    // The echo handler's answer is a function of the target and body, so
+    // those bytes (plus the deadline, as in the service's key) are its
+    // content key.
+    options.coalesce_key = [](const HttpRequest& r) -> std::string {
+      if (r.method != "POST" ||
+          (r.target != "/v1/workload" && r.target != "/v1/predict"))
+        return "";
+      const std::string* deadline = r.header("x-picp-deadline-ms");
+      return r.target + '\n' + r.body + '\n' +
+             (deadline != nullptr ? *deadline : "-");
     };
     return options;
+  }
+
+  /// Parks every POST handler until open(): keeps an execution in flight
+  /// on a real worker for as long as a test needs it there.
+  struct Gate {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool released = false;
+    std::atomic<int> blocked{0};  // POST executions that reached the gate
+
+    void open() {
+      {
+        std::lock_guard<std::mutex> lock(mutex);
+        released = true;
+      }
+      cv.notify_all();
+    }
+  };
+
+  /// The echo handler behind gate_.
+  EpollReactor::Handler gated_echo() {
+    return [this](const HttpRequest& request) {
+      if (request.method == "POST") {
+        gate_.blocked.fetch_add(1);
+        std::unique_lock<std::mutex> lock(gate_.mutex);
+        gate_.cv.wait(lock, [this] { return gate_.released; });
+      }
+      return echo_handler(request);
+    };
+  }
+
+  /// Two workers, joined (after the gate opens) before the reactor dies.
+  ThreadPool* pool() {
+    if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(2);
+    return pool_.get();
+  }
+
+  /// Step the loop with bounded real waits until `done` holds; false if
+  /// it still does not after ~10 s. For completions from pool workers.
+  template <typename Done>
+  bool spin_until(Done done) {
+    for (int i = 0; i < 400; ++i) {
+      if (done()) return true;
+      reactor_->run_once(25);
+    }
+    return done();
   }
 
   void make(const ReactorOptions& options, EpollReactor::Handler handler,
@@ -179,11 +233,15 @@ class ReactorTest : public testing::Test {
   }
 
   Clock::time_point now_{};
+  Gate gate_;
+  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<EpollReactor> reactor_;
   int listen_fd_ = -1;
 
  public:
   ~ReactorTest() override {
+    gate_.open();      // a failed test may leave a worker parked
+    pool_.reset();     // no task may outlive the reactor
     reactor_.reset();  // closes its conns first
     if (listen_fd_ >= 0) ::close(listen_fd_);
   }
@@ -483,34 +541,95 @@ TEST_F(ReactorTest, SameCycleIdenticalRequestsShareOneExecution) {
 }
 
 TEST_F(ReactorTest, BatchWindowHoldsTheLeaderForLateTwins) {
-  int executions = 0;
-  ReactorOptions options = quick_options();
-  options.batch_window_ms = 50;
-  make(options, [&executions](const HttpRequest& request) {
-    ++executions;
-    return echo_handler(request);
-  });
+  // The window is the execution itself: a twin that arrives while the
+  // leader runs on a worker joins it instead of running again.
+  make(quick_options(), gated_echo(), pool());
   Peer a = adopt_peer();
   Peer b = adopt_peer();
   const std::string wire =
       "POST /v1/workload HTTP/1.1\r\nContent-Length: 14\r\n\r\n"
       "{\"ranks\": [4]}";
   a.send(wire);
-  cycle({&a});
-  EXPECT_EQ(executions, 0) << "leader dispatched before its window closed";
-  EXPECT_TRUE(a.take_responses().empty());
+  ASSERT_TRUE(spin_until([&] { return gate_.blocked.load() == 1; }));
 
-  advance_ms(30);
   b.send(wire);
   cycle({&a, &b});
-  EXPECT_EQ(executions, 0);
-
-  advance_ms(21);  // window expires 51 ms after the leader arrived
-  cycle({&a, &b});
-  EXPECT_EQ(executions, 1);
-  ASSERT_EQ(a.take_responses().size(), 1u);
-  ASSERT_EQ(b.take_responses().size(), 1u);
+  EXPECT_TRUE(a.take_responses().empty());
+  EXPECT_TRUE(b.take_responses().empty());
   EXPECT_EQ(reactor_->stats().batch_members, 1u);
+
+  gate_.open();
+  std::vector<HttpResponse> got_a, got_b;
+  ASSERT_TRUE(spin_until([&] {
+    a.pump();
+    b.pump();
+    for (HttpResponse& r : a.take_responses()) got_a.push_back(r);
+    for (HttpResponse& r : b.take_responses()) got_b.push_back(r);
+    return got_a.size() + got_b.size() == 2;
+  }));
+  ASSERT_EQ(got_a.size(), 1u);
+  ASSERT_EQ(got_b.size(), 1u);
+  EXPECT_EQ(got_a[0].body, got_b[0].body);
+  EXPECT_EQ(gate_.blocked.load(), 1) << "the twin ran a second execution";
+  const ReactorStats stats = reactor_->stats();
+  EXPECT_EQ(stats.batch_leaders, 1u);
+  EXPECT_EQ(stats.batch_members, 1u);
+}
+
+TEST_F(ReactorTest, MemberPastItsOwnDeadlineGets504WhileTheLeaderRuns) {
+  telemetry::configure(telemetry::SessionOptions{});
+  auto& expired =
+      telemetry::registry().counter("serve.deadline.stage.cache.wait");
+  const std::uint64_t expired_before = expired.value();
+  std::vector<RequestTrace> observed;
+  ReactorOptions options = quick_options();
+  options.observer = [&observed](const RequestTrace& trace) {
+    observed.push_back(trace);
+  };
+  make(options, gated_echo(), pool());
+  Peer leader = adopt_peer();
+  Peer member = adopt_peer();
+  const std::string wire =
+      "POST /v1/predict HTTP/1.1\r\nX-Picp-Deadline-Ms: 100\r\n"
+      "Content-Length: 2\r\n\r\nhi";
+  leader.send(wire);
+  ASSERT_TRUE(spin_until([&] { return gate_.blocked.load() == 1; }));
+  // The manual clock only moves while the worker is parked on the gate.
+  advance_ms(30);
+  member.send(wire);
+  cycle({&member});  // joins; its own budget ends 130 ms in
+
+  advance_ms(99);  // 129 ms: still inside the member's budget
+  cycle({&member});
+  EXPECT_TRUE(member.take_responses().empty());
+
+  advance_ms(2);  // 131 ms: past it, with the leader still parked
+  cycle({&member});
+  const auto timed_out = member.take_responses();
+  ASSERT_EQ(timed_out.size(), 1u);
+  EXPECT_EQ(timed_out[0].status, 504);
+  ASSERT_NE(timed_out[0].header("x-picp-deadline-stage"), nullptr);
+  EXPECT_EQ(*timed_out[0].header("x-picp-deadline-stage"), "cache.wait");
+  EXPECT_FALSE(member.closed()) << "a 504 keeps the connection";
+  EXPECT_EQ(expired.value() - expired_before, 1u);
+  ASSERT_EQ(observed.size(), 1u);
+  EXPECT_STREQ(observed[0].role, "member");
+  EXPECT_EQ(observed[0].batch_size, 2u);
+  EXPECT_EQ(observed[0].deadline_stage, "cache.wait");
+  EXPECT_DOUBLE_EQ(observed[0].batch_wait_us, 101000.0);
+  EXPECT_DOUBLE_EQ(observed[0].total_us, 101000.0);
+
+  // The leader is untouched: it answers when its execution finishes.
+  gate_.open();
+  std::vector<HttpResponse> answered;
+  ASSERT_TRUE(spin_until([&] {
+    leader.pump();
+    for (HttpResponse& r : leader.take_responses()) answered.push_back(r);
+    return !answered.empty();
+  }));
+  EXPECT_EQ(answered[0].status, 200);
+  member.pump();
+  EXPECT_TRUE(member.take_responses().empty()) << "member answered twice";
 }
 
 TEST_F(ReactorTest, DifferentDeadlineHeadersNeverCoalesce) {
@@ -531,28 +650,6 @@ TEST_F(ReactorTest, DifferentDeadlineHeadersNeverCoalesce) {
   EXPECT_EQ(executions, 2)
       << "a tighter deadline must not ride a looser execution";
   EXPECT_EQ(reactor_->stats().batch_members, 0u);
-}
-
-TEST_F(ReactorTest, FullBatchDispatchesWithoutWaitingForTheWindow) {
-  int executions = 0;
-  ReactorOptions options = quick_options();
-  options.batch_window_ms = 10000;  // would stall forever if waited for
-  options.max_batch = 2;
-  make(options, [&executions](const HttpRequest& request) {
-    ++executions;
-    return echo_handler(request);
-  });
-  Peer a = adopt_peer();
-  Peer b = adopt_peer();
-  const std::string wire =
-      "POST /v1/workload HTTP/1.1\r\nContent-Length: 14\r\n\r\n"
-      "{\"ranks\": [4]}";
-  a.send(wire);
-  b.send(wire);
-  cycle({&a, &b});
-  EXPECT_EQ(executions, 1);
-  EXPECT_EQ(a.take_responses().size(), 1u);
-  EXPECT_EQ(b.take_responses().size(), 1u);
 }
 
 // --- worker-pool dispatch ----------------------------------------------------
@@ -611,10 +708,14 @@ std::uint64_t metric_value(const std::string& body, const std::string& name) {
   return value;
 }
 
-std::string workload_wire(const std::string& ranks_json) {
-  const std::string body = "{\"ranks\": [" + ranks_json + "]}";
+/// A /v1/workload request carrying `body` verbatim.
+std::string workload_body_wire(const std::string& body) {
   return "POST /v1/workload HTTP/1.1\r\nContent-Length: " +
          std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+std::string workload_wire(const std::string& ranks_json) {
+  return workload_body_wire("{\"ranks\": [" + ranks_json + "]}");
 }
 
 class ReactorServiceTest : public ReactorTest {
@@ -626,9 +727,19 @@ class ReactorServiceTest : public ReactorTest {
     config_.nely = 8;
     config_.nelz = 16;
     service_ = std::make_unique<PredictionService>(config_);
-    make(quick_options(), [this](const HttpRequest& request) {
+    serve_with(nullptr);
+  }
+
+  /// (Re)build the reactor in front of the service, coalescing on the
+  /// service's own key as the daemon does; `pool` nullptr = inline.
+  void serve_with(ThreadPool* pool) {
+    ReactorOptions options = quick_options();
+    options.coalesce_key = [this](const HttpRequest& request) {
+      return service_->coalesce_key(request);
+    };
+    make(options, [this](const HttpRequest& request) {
       return service_->handle(request);
-    });
+    }, pool);
   }
 
   /// One complete request/response exchange on a fresh connection.
@@ -636,12 +747,64 @@ class ReactorServiceTest : public ReactorTest {
     Peer peer = adopt_peer();
     peer.send(wire_bytes);
     std::vector<HttpResponse> responses;
-    for (int i = 0; i < 100 && responses.empty(); ++i) {
-      cycle({&peer});
+    spin_until([&] {
+      peer.pump();
       responses = peer.take_responses();
-    }
+      return !responses.empty();
+    });
     EXPECT_EQ(responses.size(), 1u);
     return responses.empty() ? HttpResponse{} : responses[0];
+  }
+
+  /// Send one request per wire string, each on its own connection, all
+  /// before the loop runs; the responses in peer order.
+  std::vector<HttpResponse> storm(const std::vector<std::string>& wires) {
+    std::vector<Peer> peers;
+    peers.reserve(wires.size());
+    for (const std::string& wire_bytes : wires) {
+      peers.push_back(adopt_peer());
+      peers.back().send(wire_bytes);
+    }
+    std::vector<HttpResponse> responses(wires.size());
+    std::size_t answered = 0;
+    spin_until([&] {
+      for (std::size_t i = 0; i < peers.size(); ++i) {
+        peers[i].pump();
+        for (HttpResponse& r : peers[i].take_responses()) {
+          responses[i] = std::move(r);
+          ++answered;
+        }
+      }
+      return answered >= wires.size();
+    });
+    EXPECT_EQ(answered, wires.size());
+    return responses;
+  }
+
+  /// N identical queries in flight together cost ONE generation, proven
+  /// through /metricsz served by the same reactor, and every member gets
+  /// the leader's bytes; a later solo request replays them exactly.
+  void identical_storm_costs_exactly_one_generation() {
+    const std::uint64_t before = generations();
+    constexpr std::size_t kPeers = 6;
+    const std::string wire = workload_wire("6");
+    const std::vector<HttpResponse> responses =
+        storm(std::vector<std::string>(kPeers, wire));
+    for (std::size_t i = 0; i < kPeers; ++i) {
+      ASSERT_EQ(responses[i].status, 200) << responses[i].body;
+      EXPECT_EQ(responses[i].body, responses[0].body)
+          << "member " << i << " got a different body";
+    }
+    EXPECT_EQ(generations() - before, 1u);
+    const ReactorStats stats = reactor_->stats();
+    EXPECT_EQ(stats.batch_leaders, 1u);
+    EXPECT_EQ(stats.batch_members, kPeers - 1);
+
+    const HttpResponse solo = roundtrip(wire);
+    ASSERT_EQ(solo.status, 200);
+    EXPECT_EQ(solo.body, responses[0].body)
+        << "solo replay diverged from the coalesced response";
+    EXPECT_EQ(generations() - before, 1u) << "solo replay regenerated";
   }
 
   std::uint64_t generations() {
@@ -655,41 +818,53 @@ class ReactorServiceTest : public ReactorTest {
 };
 
 TEST_F(ReactorServiceTest, IdenticalStormCostsExactlyOneGeneration) {
+  identical_storm_costs_exactly_one_generation();  // one inline cycle
+}
+
+TEST_F(ReactorServiceTest, IdenticalStormOnAPoolCostsExactlyOneGeneration) {
+  serve_with(pool());
+  identical_storm_costs_exactly_one_generation();
+}
+
+TEST_F(ReactorServiceTest, ReencodedEquivalentsShareOneExecution) {
+  // Three spellings of one config: the service's key sees through the
+  // bytes (scalar ranks, reordered keys, defaults written out).
   const std::uint64_t before = generations();
-
-  constexpr int kPeers = 6;
-  std::vector<Peer> peers;
-  peers.reserve(kPeers);
-  for (int i = 0; i < kPeers; ++i) peers.push_back(adopt_peer());
-  const std::string wire = workload_wire("6");
-  for (Peer& peer : peers) peer.send(wire);
-  reactor_->run_once(0);  // all six requests coalesce in this one cycle
-
-  std::vector<std::string> bodies;
-  for (Peer& peer : peers) {
-    peer.pump();
-    const auto responses = peer.take_responses();
-    ASSERT_EQ(responses.size(), 1u);
-    ASSERT_EQ(responses[0].status, 200) << responses[0].body;
-    bodies.push_back(responses[0].body);
+  const std::vector<HttpResponse> responses = storm(
+      {workload_body_wire("{\"ranks\": [6]}"),
+       workload_body_wire("{\"ranks\": 6}"),
+       workload_body_wire(
+           "{\"mapper\": \"bin\", \"filter\": 0.024, \"ranks\": [6]}")});
+  for (const HttpResponse& response : responses) {
+    ASSERT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(response.body, responses[0].body);
   }
-  for (int i = 1; i < kPeers; ++i)
-    EXPECT_EQ(bodies[0], bodies[i])
-        << "batch member " << i << " got a different body";
-
-  // The whole storm cost ONE workload generation — proven through the
-  // same reactor via /metricsz, like the shell smoke does.
   EXPECT_EQ(generations() - before, 1u);
-  const ReactorStats stats = reactor_->stats();
-  EXPECT_EQ(stats.batch_leaders, 1u);
-  EXPECT_EQ(stats.batch_members, static_cast<std::uint64_t>(kPeers - 1));
+  EXPECT_EQ(reactor_->stats().batch_members, 2u);
+  // The leader paid for the generation; its members paid for nothing.
+  ASSERT_NE(responses[0].header("x-picp-cache"), nullptr);
+  EXPECT_EQ(*responses[0].header("x-picp-cache"), "miss");
+  for (std::size_t i = 1; i < responses.size(); ++i) {
+    ASSERT_NE(responses[i].header("x-picp-cache"), nullptr);
+    EXPECT_EQ(*responses[i].header("x-picp-cache"), "hit");
+  }
+}
 
-  // A later solo request replays the member bytes exactly.
-  const HttpResponse solo = roundtrip(wire);
-  ASSERT_EQ(solo.status, 200);
-  EXPECT_EQ(solo.body, bodies[0])
-      << "solo replay diverged from the batched response";
-  EXPECT_EQ(generations() - before, 1u) << "solo replay regenerated";
+TEST_F(ReactorServiceTest, FailingLeaderFailsEveryMemberThenRecomputes) {
+  failpoint::arm("serve.generate=error:times1");
+  const std::vector<HttpResponse> failed =
+      storm(std::vector<std::string>(3, workload_wire("5")));
+  for (const HttpResponse& response : failed) {
+    EXPECT_EQ(response.status, 500);
+    EXPECT_EQ(response.body, failed[0].body);
+  }
+  EXPECT_EQ(reactor_->stats().batch_members, 2u);
+
+  // Nothing poisoned: the next request runs a fresh execution.
+  const HttpResponse retry = roundtrip(workload_wire("5"));
+  EXPECT_EQ(retry.status, 200) << retry.body;
+  ASSERT_NE(retry.header("x-picp-cache"), nullptr);
+  EXPECT_EQ(*retry.header("x-picp-cache"), "miss");
 }
 
 TEST_F(ReactorServiceTest, MixedStormNeverCrossContaminates) {
@@ -926,7 +1101,7 @@ TEST_F(ReactorTest, MetricsScrapeNeverBlocksBehindABatchedStorm) {
     return echo_handler(request);
   }, &pool);
 
-  // A storm of identical batchable requests coalesces into ONE pool task,
+  // A storm of identical keyed requests coalesces into ONE pool task,
   // which parks on the gate — one worker consumed, one still free.
   constexpr int kStorm = 4;
   std::vector<Peer> storm;
@@ -973,7 +1148,7 @@ TEST_F(ReactorTest, MetricsScrapeNeverBlocksBehindABatchedStorm) {
   EXPECT_EQ(answered, static_cast<std::size_t>(kStorm));
   pool.wait_idle();
 
-  // Snapshot consistency: every batchable request is accounted for as
+  // Snapshot consistency: every keyed request is accounted for as
   // exactly one leader or member.
   const ReactorStats stats = reactor_->stats();
   EXPECT_EQ(stats.batch_leaders, 1u);

@@ -101,6 +101,67 @@ TEST_F(ServeDegradedTest, ExpiredDeadlineReturns504WithStage) {
   EXPECT_NE(response.body.find("deadline exceeded"), std::string::npos);
 }
 
+TEST_F(ServeDegradedTest, InvalidBodiesAre400sWithNoCoalescingKey) {
+  // "No 5xx unless a failpoint is armed": every body parse_request can
+  // judge is a client error, caught before any work is scheduled — and a
+  // rejected body never gets a key to join another request's execution.
+  PredictionService service(tiny_service_config());
+  for (const char* body : {
+           "{\"ranks\": ",                         // malformed JSON
+           "[4]",                                   // not an object
+           "{\"ranks\": [0]}",                      // out-of-range rank
+           "{\"ranks\": [8], \"mapper\": 7}",        // mapper not a string
+           "{\"ranks\": [8], \"mapper\": \"nope\"}",  // unknown mapper
+           "{\"ranks\": [8], \"interval_stride\": 0}",
+           "{\"ranks\": [8], \"interval_stride\": 1e30}",
+           "{\"ranks\": [8], \"max_intervals\": -1}",
+           "{\"ranks\": [8], \"max_intervals\": 0.5}",
+           "{\"ranks\": [8], \"max_intervals\": 1e300}",
+       }) {
+    const HttpRequest request = post("/v1/workload", body);
+    const HttpResponse response = service.handle(request);
+    EXPECT_EQ(response.status, 400) << body << " -> " << response.body;
+    EXPECT_EQ(service.coalesce_key(request), "") << body;
+  }
+}
+
+TEST_F(ServeDegradedTest, EquivalentBodiesShareOneCoalescingKey) {
+  PredictionService service(tiny_service_config());
+  const std::string key = service.coalesce_key(
+      post("/v1/workload", "{\"ranks\": [6]}"));
+  ASSERT_FALSE(key.empty());
+  for (const char* same : {"{\"ranks\": 6}",
+                           "{\"mapper\": \"bin\", \"ranks\": [6]}",
+                           "{\"max_intervals\": 0, \"interval_stride\": 1, "
+                           "\"ranks\": [6], \"filter\": 0.024}"})
+    EXPECT_EQ(service.coalesce_key(post("/v1/workload", same)), key) << same;
+
+  // Different config, endpoint, target, or deadline: a different key.
+  EXPECT_NE(service.coalesce_key(post("/v1/workload", "{\"ranks\": [7]}")),
+            key);
+  EXPECT_NE(service.coalesce_key(post("/v1/predict", "{\"ranks\": [6]}")),
+            key);
+  EXPECT_NE(
+      service.coalesce_key(post("/v1/workload?x=1", "{\"ranks\": [6]}")),
+      key);
+  HttpRequest timed = post("/v1/workload", "{\"ranks\": [6]}");
+  timed.headers.emplace_back("x-picp-deadline-ms", "100");
+  EXPECT_NE(service.coalesce_key(timed), key);
+
+  // Only generation-backed POSTs have a key.
+  HttpRequest get = post("/v1/workload", "{\"ranks\": [6]}");
+  get.method = "GET";
+  EXPECT_EQ(service.coalesce_key(get), "");
+  EXPECT_EQ(service.coalesce_key(post("/healthz", "")), "");
+
+  // A body too large to parse on the reactor thread runs alone, and is
+  // still served.
+  const HttpRequest padded = post(
+      "/v1/workload", "{\"ranks\": [6]" + std::string(8192, ' ') + "}");
+  EXPECT_EQ(service.coalesce_key(padded), "");
+  EXPECT_EQ(service.handle(padded).status, 200);
+}
+
 TEST_F(ServeDegradedTest, GenerousDeadlineDoesNotDisturbTheRequest) {
   PredictionService service(tiny_service_config());
   HttpRequest request = post("/v1/workload", "{\"ranks\": [4]}");

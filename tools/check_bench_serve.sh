@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Serving-latency regression guard: run the micro_serve closed loop fresh
 # (open-loop phase skipped — this is a p99 guard, not a concurrency test)
-# and compare the baseline p99 against the last committed snapshot in
-# BENCH_serve.json. Fails only when the fresh p99 exceeds the snapshot by
-# BOTH >20% and >300 us — the absolute floor keeps microsecond jitter on
-# loaded single-core CI machines from tripping the relative bound.
-# One retry (best of two): p99 on a shared box has heavy right-tail noise.
+# and compare the baseline p99 against the newest committed snapshot in
+# BENCH_serve.json taken under the same configuration: equal connections,
+# requests, distinct configs and observability mode. No such snapshot is a
+# failure, not a fallback — comparing an armed run against a bare one (or
+# the reverse) would make the guard meaningless. Fails only when the fresh
+# p99 exceeds the snapshot by BOTH >20% and >300 us — the absolute floor
+# keeps microsecond jitter on loaded single-core CI machines from tripping
+# the relative bound. One retry (best of two): p99 on a shared box has
+# heavy right-tail noise.
 #
 # Usage: check_bench_serve.sh <micro_serve-binary> <committed-json> [workdir]
 # Wired into ctest (fast tier, skipped under sanitizers) from
@@ -26,21 +30,31 @@ trap 'exit 143' TERM
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
-baseline_p99() { # baseline_p99 <json-file>
-    "$PYTHON" - "$1" <<'EOF'
+baseline_p99() { # baseline_p99 <fresh-json> [committed-json]
+    # With one argument: the fresh run's baseline p99. With two: the
+    # baseline p99 of the newest committed snapshot whose configuration
+    # matches the fresh run's.
+    "$PYTHON" - "$@" <<'EOF'
 import json, sys
-doc = json.load(open(sys.argv[1]))
-# Committed file holds a snapshot history; a fresh run is one bare object.
-snap = doc["snapshots"][-1] if "snapshots" in doc else doc
+fresh = json.load(open(sys.argv[1]))
+snap = fresh
+if len(sys.argv) > 2:
+    fields = ("connections", "requests", "distinct", "mode")
+    want = {f: fresh.get(f) for f in fields}
+    history = json.load(open(sys.argv[2]))["snapshots"]
+    matches = [s for s in history if {f: s.get(f) for f in fields} == want]
+    if not matches:
+        sys.exit("no committed snapshot in %s matches the fresh run's %s; "
+                 "append a snapshot taken under that configuration"
+                 % (sys.argv[2], want))
+    snap = matches[-1]
 for phase in snap["phases"]:
     if phase["phase"] == "baseline":
         print(phase["p99_us"])
         sys.exit(0)
-sys.exit("no baseline phase in " + sys.argv[1])
+sys.exit("no baseline phase in the selected snapshot")
 EOF
 }
-
-COMMITTED=$(baseline_p99 "$SNAPSHOT")
 
 best=""
 for attempt in 1 2; do
@@ -48,6 +62,8 @@ for attempt in 1 2; do
     "$MICRO_SERVE" --open-connections 0 --json "run_$attempt.json" \
         > "run_$attempt.csv" || fail "micro_serve exited nonzero (run $attempt)"
     fresh=$(baseline_p99 "run_$attempt.json")
+    COMMITTED=$(baseline_p99 "run_$attempt.json" "$SNAPSHOT") \
+        || fail "no comparable committed snapshot"
     echo "baseline p99: fresh=${fresh}us committed=${COMMITTED}us"
     if [[ -z "$best" ]] || "$PYTHON" -c "import sys; sys.exit(0 if float('$fresh') < float('$best') else 1)"; then
         best=$fresh

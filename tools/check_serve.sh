@@ -2,7 +2,8 @@
 # End-to-end smoke test of the prediction daemon: boot `picpredict serve`
 # on an ephemeral port, then drive the whole serving contract through the
 # `picpredict query` client — health, prediction, byte-identical cache
-# replay, single-flight dedup under 100 concurrent identical queries,
+# replay, one generation for 100 concurrent identical queries (the
+# reactor coalesces in-flight twins; later ones hit the response cache),
 # malformed-input 400s, method routing, backpressure shedding, and the
 # SIGTERM drain (exit 0 + valid telemetry manifest).
 #
@@ -145,7 +146,7 @@ echo "== workload endpoint shares the artifact cache =="
     --body '{"ranks": [8]}' > workload.txt
 grep -q '^200 OK' workload.txt || fail "/v1/workload not 200"
 
-echo "== single-flight: 100 concurrent identical queries, 1 generation =="
+echo "== coalescing: 100 concurrent identical queries, 1 generation =="
 "$PICPREDICT" query /metricsz --port "$PORT" > metrics_before.txt
 GEN_BEFORE=$(metric metrics_before.txt "serve.workload.generations")
 # ranks=20 has never been requested: every one of the 100 concurrent
@@ -160,9 +161,9 @@ BATCHED=$(metric metrics_after.txt "serve.batch.members")
 [[ $((GEN_AFTER - GEN_BEFORE)) -eq 1 ]] \
     || fail "expected exactly 1 workload generation for 100 concurrent identical queries, got $((GEN_AFTER - GEN_BEFORE))"
 # Every query but the first leader must be served without recomputing:
-# either a response-cache hit or a coalesced batch member (identical
-# requests in one reactor batching window share one execution and never
-# reach the cache counters).
+# either a response-cache hit or a coalesced batch member (a request that
+# joins an equivalent in-flight execution never reaches the cache
+# counters).
 [[ $((HITS + BATCHED)) -ge 99 ]] \
     || fail "expected >= 99 deduplicated responses (cache hits + batch members) after the concurrent burst, got hits=$HITS batched=$BATCHED"
 

@@ -622,10 +622,6 @@ int cmd_serve(int argc, char** argv) {
   options.max_pending_requests = static_cast<std::size_t>(
       config.get_int("serve.max_pending",
                      static_cast<long long>(options.max_pending_requests)));
-  options.batch_window_ms = static_cast<int>(
-      config.get_int("serve.batch_window_ms", options.batch_window_ms));
-  options.max_batch = static_cast<std::size_t>(config.get_int(
-      "serve.max_batch", static_cast<long long>(options.max_batch)));
   options.trace_sample_n = static_cast<std::uint64_t>(
       config.get_int("serve.trace_sample_n", 0));
   options.slow_request_ms = static_cast<int>(
@@ -648,6 +644,9 @@ int cmd_serve(int argc, char** argv) {
   telemetry::add_run_annotation("trace", service_config.trace_path);
 
   serve::PredictionService service(service_config);
+  options.coalesce_key = [&service](const serve::HttpRequest& request) {
+    return service.coalesce_key(request);
+  };
   serve::HttpServer server(
       options, [&service](const serve::HttpRequest& request) {
         return service.handle(request);
