@@ -1,10 +1,15 @@
 // Micro-benchmarks of the Model Generator: expression evaluation (the GP
-// inner loop), OLS fitting, and full symbolic-regression searches.
+// inner loop), OLS fitting, and full symbolic-regression searches; and of
+// model evaluation: the predictor's per-(rank, interval) compute table.
 
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <memory>
+#include <vector>
 
+#include "core/features.hpp"
+#include "core/predictor.hpp"
 #include "model/linear.hpp"
 #include "model/symreg.hpp"
 #include "util/rng.hpp"
@@ -72,5 +77,55 @@ void BM_FitSymbolic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FitSymbolic)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+
+/// Compute table at R = range(0), T = 40: seven linear kernels, ~5k
+/// synthetic migration pairs per interval. One item is one (rank, interval)
+/// cell.
+void BM_PredictorComputeTable(benchmark::State& state) {
+  const auto ranks = static_cast<Rank>(state.range(0));
+  const std::size_t intervals = 40;
+  const std::size_t pairs = 5000;
+  Xoshiro256 rng(2);
+  WorkloadResult w;
+  w.num_ranks = ranks;
+  w.iterations.resize(intervals);
+  w.comp_real = CompMatrix(ranks, intervals);
+  w.comp_ghost = CompMatrix(ranks, intervals);
+  w.comm_real = CommMatrix(ranks, intervals);
+  w.comm_ghost = CommMatrix(ranks, intervals);
+  const auto r_count = static_cast<std::uint64_t>(ranks);
+  for (std::size_t t = 0; t < intervals; ++t) {
+    for (Rank r = 0; r < ranks; ++r) {
+      w.comp_real.set(r, t, static_cast<std::int64_t>(rng.uniform_below(50)));
+      w.comp_ghost.set(r, t, static_cast<std::int64_t>(rng.uniform_below(20)));
+    }
+    for (std::size_t i = 0; i < pairs; ++i)
+      w.comm_real.add(static_cast<Rank>(rng.uniform_below(r_count)),
+                      static_cast<Rank>(rng.uniform_below(r_count)), t);
+  }
+  w.elements_per_rank.assign(static_cast<std::size_t>(ranks), 8);
+
+  ModelSet models;
+  for (int k = 0; k < kNumKernels; ++k) {
+    const auto kernel = static_cast<Kernel>(k);
+    auto features = kernel_features(kernel);
+    std::vector<double> coef(features.size(), 1e-8 * (k + 1));
+    models.set(kernel_name(kernel),
+               std::make_unique<LinearModel>(std::move(coef), 1e-7, features),
+               features);
+  }
+  const Predictor predictor(models, 0.023);
+  for (auto _ : state) {
+    const std::vector<double> table = predictor.compute_table(w);
+    benchmark::DoNotOptimize(table.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          static_cast<std::int64_t>(intervals));
+}
+BENCHMARK(BM_PredictorComputeTable)
+    ->Arg(1044)
+    ->Arg(8352)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,23 @@ std::vector<std::string> kernel_features(Kernel k);
 /// Feature vector for one (rank, interval) from an instrumented record
 /// (training side — the features were recorded during measurement).
 std::vector<double> features_from_record(Kernel k, const TimingRecord& rec);
+
+/// Most features any kernel's model consumes (project, create_ghost).
+inline constexpr std::size_t kMaxKernelFeatures = 3;
+using FeatureBuffer = std::array<double, kMaxKernelFeatures>;
+
+/// The prediction side's one feature layout: writes kernel k's features for
+/// one (rank, interval) of generated workload into `out`, in
+/// kernel_features(k) order, and returns the written prefix. `received` is
+/// the rank's receive-side migration arrivals in that interval and is read
+/// by migrate only; the caller tallies it (CommMatrix::received_by for one
+/// cell, CommMatrix::tally_received for a whole interval), so filling a
+/// table never rescans the communication slice per cell.
+std::span<const double> layout_features(Kernel k,
+                                        const WorkloadResult& workload,
+                                        Rank rank, std::size_t interval,
+                                        double filter, std::int64_t received,
+                                        FeatureBuffer& out);
 
 /// Feature vector for one (rank, interval) from generated workload
 /// (prediction side — the features come from the Dynamic Workload

@@ -45,9 +45,14 @@ WorkloadResult PredictionPipeline::generate_workload(
 SimReport PredictionPipeline::simulate_workload(
     const WorkloadResult& workload, const PredictionConfig& config) const {
   config.deadline.check("simulate.des");
-  const Predictor predictor(models_, config.filter_size);
+  TraceSimInput input;
+  {
+    const telemetry::ScopedSpan span("predict.model", "predict");
+    const Predictor predictor(models_, config.filter_size);
+    input = predictor.sim_input(workload, config.network);
+  }
   const telemetry::ScopedSpan span("predict.des", "predict");
-  return run_trace_simulation(predictor.sim_input(workload, config.network));
+  return run_trace_simulation(input);
 }
 
 PredictionOutcome PredictionPipeline::predict(

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "bsst/trace_sim.hpp"
@@ -14,6 +15,10 @@ namespace picp {
 /// §IV-B, and the input producer for the Simulation Platform).
 class Predictor {
  public:
+  /// Resolves each kernel's model once. `models` must outlive the predictor
+  /// and stay unmodified. Throws picp::Error naming the kernel when an entry
+  /// names no known kernel or does not list exactly kernel_features(k):
+  /// features are fed by position, so any other list would be misread.
   Predictor(const ModelSet& models, double filter_size);
 
   /// Predicted seconds of one kernel on one (rank, interval).
@@ -22,6 +27,7 @@ class Predictor {
 
   /// Per-(rank, interval) total particle-phase compute time (sum over all
   /// modeled kernels), laid out interval-major for the trace simulator.
+  /// Costs O(R·T + Σ pairs): each interval's receives are tallied once.
   std::vector<double> compute_table(const WorkloadResult& workload) const;
 
   /// Assemble the full trace-simulation input (compute table + comm
@@ -35,7 +41,8 @@ class Predictor {
  private:
   const ModelSet* models_;
   double filter_size_;
-  std::vector<bool> has_kernel_;
+  /// Each kernel's model, indexed by Kernel; null where the set has none.
+  std::array<const PerfModel*, kNumKernels> kernel_models_{};
 };
 
 }  // namespace picp

@@ -124,6 +124,9 @@ PredictionService::PredictionService(const ServiceConfig& config)
 
   if (!config_.models_path.empty()) {
     models_ = ModelSet::load(config_.models_path);
+    // Resolve the models once at boot, so a set the predictor would misread
+    // fails `serve` at start instead of every /v1/predict.
+    const Predictor resolved(models_, config_.default_filter);
     models_loaded_ = true;
   }
   pipeline_ = std::make_unique<PredictionPipeline>(mesh_, models_);

@@ -68,6 +68,14 @@ std::int64_t CommMatrix::received_by(Rank r, std::size_t t) const {
   return total;
 }
 
+void CommMatrix::tally_received(std::size_t t,
+                                std::vector<std::int64_t>& received) const {
+  PICP_REQUIRE(t < num_intervals_, "interval out of range");
+  received.assign(static_cast<std::size_t>(num_ranks_), 0);
+  for (const auto& [k, count] : slices_[t])
+    received[k % static_cast<std::uint64_t>(num_ranks_)] += count;
+}
+
 std::int64_t CommMatrix::total_volume() const {
   std::int64_t total = 0;
   for (std::size_t t = 0; t < num_intervals_; ++t) total += interval_volume(t);

@@ -43,6 +43,10 @@ class CommMatrix {
   /// Particles sent by / received by one rank in an interval.
   std::int64_t sent_by(Rank r, std::size_t t) const;
   std::int64_t received_by(Rank r, std::size_t t) const;
+  /// Every rank's receive-side arrivals at interval t, tallied in one pass
+  /// over the slice: afterwards received[r] == received_by(r, t). Resizes
+  /// `received` to num_ranks(), so one buffer serves every interval.
+  void tally_received(std::size_t t, std::vector<std::int64_t>& received) const;
 
   /// Total particles moved across the whole run.
   std::int64_t total_volume() const;

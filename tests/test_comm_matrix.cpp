@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace picp {
 namespace {
@@ -66,6 +67,27 @@ TEST(CommMatrix, SelfTransfersAllowedButDistinct) {
   EXPECT_EQ(m.at(0, 0, 0), 2);
   EXPECT_EQ(m.sent_by(0, 0), 2);
   EXPECT_EQ(m.received_by(0, 0), 2);
+}
+
+TEST(CommMatrix, TallyReceivedMatchesReceivedBy) {
+  Xoshiro256 rng(11);
+  const Rank ranks = 23;
+  CommMatrix m(ranks, 4);
+  // Interval 0 stays empty; the others get sparse to dense random traffic.
+  for (std::size_t t = 1; t < 4; ++t)
+    for (std::size_t i = 0; i < 40 * t * t; ++i)
+      m.add(static_cast<Rank>(rng.uniform_below(ranks)),
+            static_cast<Rank>(rng.uniform_below(ranks)), t,
+            1 + static_cast<std::int64_t>(rng.uniform_below(9)));
+  std::vector<std::int64_t> received = {99};  // stale contents get reset
+  for (std::size_t t = 0; t < 4; ++t) {
+    m.tally_received(t, received);
+    ASSERT_EQ(received.size(), static_cast<std::size_t>(ranks));
+    for (Rank r = 0; r < ranks; ++r)
+      EXPECT_EQ(received[static_cast<std::size_t>(r)], m.received_by(r, t))
+          << "rank " << r << " interval " << t;
+  }
+  EXPECT_THROW(m.tally_received(4, received), Error);
 }
 
 TEST(CommMatrix, BoundsChecked) {

@@ -9,12 +9,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 
 #include "picsim/sim_driver.hpp"
 #include "serve/http.hpp"
 #include "serve/service.hpp"
+#include "util/error.hpp"
 #include "util/failpoint.hpp"
 
 namespace picp::serve {
@@ -276,6 +278,30 @@ TEST_F(ServeDegradedTest, FailpointsEndpointArmsListsAndDisarms) {
   HttpRequest bad = post("/v1/failpoints", "{\"arm\": \"not a spec\"}");
   bad.from_loopback = true;
   EXPECT_EQ(service.handle(bad).status, 400);
+}
+
+TEST_F(ServeDegradedTest, ModelsThePredictorWouldMisreadFailAtBoot) {
+  const std::string path = testing::TempDir() + "/picp_serve_models_" +
+                           std::to_string(::getpid()) + ".txt";
+  ServiceConfig config = tiny_service_config();
+  config.models_path = path;
+  const auto write_models = [&path](const std::string& line) {
+    std::ofstream(path) << line << '\n';
+  };
+
+  write_models("project | np,ngp,filter | linear 0 1e-8 2e-8 3e-8");
+  {
+    PredictionService service(config);
+    EXPECT_EQ(service.handle(post("/v1/predict", "{\"ranks\": [4]}")).status,
+              200);
+  }
+  // The same model with its features listed in another order would be fed
+  // np as ngp; an unknown kernel name would be silently dropped.
+  write_models("project | ngp,np,filter | linear 0 1e-8 2e-8 3e-8");
+  EXPECT_THROW(PredictionService service(config), Error);
+  write_models("interp | np | linear 0 1e-8");
+  EXPECT_THROW(PredictionService service(config), Error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -96,6 +96,8 @@ grep -q '"command": "predict"' tele_pred/manifest.json \
     || { echo "FAIL: manifest command != predict" >&2; exit 1; }
 grep -q 'predict.workload_gen' tele_pred/trace.json \
     || { echo "FAIL: no predict.workload_gen spans" >&2; exit 1; }
+grep -q 'predict.model' tele_pred/trace.json \
+    || { echo "FAIL: no predict.model spans" >&2; exit 1; }
 grep -q 'des.run' tele_pred/trace.json \
     || { echo "FAIL: no des.run spans" >&2; exit 1; }
 

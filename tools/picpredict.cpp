@@ -96,6 +96,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
 #include "mapping/mapper.hpp"
@@ -593,6 +597,15 @@ extern "C" void handle_shutdown_signal(int) {
 }
 
 int cmd_serve(int argc, char** argv) {
+#ifdef __GLIBC__
+  // One malloc arena for the whole daemon, set before any worker starts.
+  // Each worker allocates a cold miss's temporaries next to cache entries
+  // that outlive the request; with glibc's per-thread arenas every worker's
+  // heap grows to its own high-water mark around the entries it pinned, so
+  // peak RSS depended on which worker served which request. One shared
+  // heap reuses the space any worker freed.
+  ::mallopt(M_ARENA_MAX, 1);
+#endif
   const auto flags = parse_flags(argc, argv, 2, {"enable-failpoints"});
   const std::string config_path = require_flag(flags, "config");
   require_readable(config_path, "cannot read serve config");
