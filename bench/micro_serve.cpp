@@ -346,18 +346,19 @@ int main(int argc, char** argv) {
   // otherwise serialize persistent connections on low-core machines and
   // the percentiles would measure queueing, not service.
   options.threads = connections;
-  options.max_connections = std::max(connections + 4, open_connections + 64);
+  options.reactor.max_connections =
+      std::max(connections + 4, open_connections + 64);
   // The open-loop burst parks every request behind one identical config —
   // most join an in-flight execution, but the SLO must not shed the rest.
-  options.max_pending_requests =
+  options.reactor.max_pending_requests =
       std::max<std::size_t>(256, open_connections);
   options.listen_backlog = 4096;
   // Observability fully armed, as in production: every request traced
   // into spans and access-logged — the percentiles below price the
   // instrumented hot path, and the regression guard holds it to budget.
-  options.trace_sample_n = 1;
+  options.reactor.trace_sample_n = 1;
   options.access_log_path = work + "/bench_access.ndjson";
-  options.coalesce_key = [&](const serve::HttpRequest& request) {
+  options.reactor.coalesce_key = [&](const serve::HttpRequest& request) {
     return service.coalesce_key(request);
   };
   serve::HttpServer server(options,
@@ -395,7 +396,7 @@ int main(int argc, char** argv) {
   server_thread.join();
   // peak_connections is monotonic, so reading after the drain still
   // reflects the open-loop high-water mark (and avoids racing the reactor).
-  const serve::ServerStats stats = server.stats();
+  const serve::ReactorStats stats = server.stats();
 
   std::printf("# micro_serve: load against the prediction daemon "
               "(in-process server, loopback TCP)\n");

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "telemetry/json.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -60,7 +61,11 @@ AccessLog::~AccessLog() {
 void AccessLog::write(const RequestTrace& trace) {
   const std::string line = access_log_line(trace);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (file_ == nullptr) return;  // a failed rotation disabled the log
+  if (file_ == nullptr) {  // a failed reopen disabled the log
+    if (telemetry::enabled())
+      telemetry::registry().counter("serve.access_log.dropped").add();
+    return;
+  }
   std::fwrite(line.data(), 1, line.size(), file_);
   std::fputc('\n', file_);
   std::fflush(file_);
@@ -78,8 +83,11 @@ void AccessLog::rotate_locked() {
   std::fclose(file_);
   file_ = nullptr;
   const std::string rotated = options_.path + ".1";
-  if (std::rename(options_.path.c_str(), rotated.c_str()) != 0)
+  if (std::rename(options_.path.c_str(), rotated.c_str()) != 0) {
     PICP_LOG_WARN << "access log rotation failed: " << std::strerror(errno);
+    if (telemetry::enabled())
+      telemetry::registry().counter("serve.access_log.rotation_failures").add();
+  }
   file_ = std::fopen(options_.path.c_str(), "ae");
   if (file_ == nullptr) {
     PICP_LOG_WARN << "cannot reopen access log " << options_.path << ": "

@@ -6,7 +6,9 @@
 // drive a reactor from several threads). Size-based rotation: when the
 // live file exceeds `max_bytes` it is renamed to `<path>.1` (replacing any
 // previous rotation) and a fresh file is started, so a long-lived daemon
-// holds at most ~2x max_bytes of log.
+// holds at most ~2x max_bytes of log. A rename that fails counts in
+// `serve.access_log.rotation_failures`; if the file cannot be reopened,
+// logging stops and every later line counts in `serve.access_log.dropped`.
 
 #include <cstdint>
 #include <cstdio>

@@ -14,6 +14,7 @@
 #include <cstring>
 
 #include "serve/http_parser.hpp"
+#include "telemetry/json.hpp"
 #include "util/failpoint.hpp"
 #include "util/string_util.hpp"
 
@@ -114,6 +115,15 @@ const char* status_reason(int status) {
     case 504: return "Gateway Timeout";
     default: return "Unknown";
   }
+}
+
+std::string error_body(int status, const std::string& message) {
+  Json error = Json::object();
+  error.set("status", Json(status));
+  error.set("message", Json(message));
+  Json body = Json::object();
+  body.set("error", std::move(error));
+  return body.dump() + "\n";
 }
 
 HttpConnection::HttpConnection(int fd) : fd_(fd) {}

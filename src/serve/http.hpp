@@ -64,6 +64,11 @@ std::string query_param(const std::string& target, const std::string& key);
 /// Canonical reason phrase for a status code ("OK", "Not Found", ...).
 const char* status_reason(int status);
 
+/// JSON body of a structured error reply, `{"error":{"status":N,
+/// "message":...}}` plus a newline. Every error the daemon sends, from the
+/// service or the reactor, is rendered here.
+std::string error_body(int status, const std::string& message);
+
 /// Wire bytes for one response (status line, headers, Content-Length
 /// framing, body) — what the reactor queues in per-connection output
 /// buffers.
@@ -73,7 +78,9 @@ std::string serialize_response(const HttpResponse& response);
 struct HttpLimits {
   std::size_t max_header_bytes = 64 * 1024;
   std::size_t max_body_bytes = 4 * 1024 * 1024;
-  /// Budget for receiving one complete message. <= 0 means no timeout.
+  /// Client side only: budget for receiving one complete response. <= 0
+  /// means no timeout. The reactor's budget is
+  /// ReactorOptions::request_timeout_ms.
   int io_timeout_ms = 30000;
 };
 

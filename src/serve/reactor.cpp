@@ -14,7 +14,6 @@
 #include <cstring>
 #include <utility>
 
-#include "telemetry/json.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
@@ -59,8 +58,8 @@ std::string peer_string(const sockaddr_storage& peer, socklen_t len) {
   return "unknown";
 }
 
-/// RED histogram bounds (µs), same log-spaced ladder as the service-side
-/// latency histograms: 100 µs … 3 s.
+/// RED histogram bounds (µs), log-spaced from 100 µs to 3 s: cache hits
+/// land in the first buckets, cold workload generations in the last.
 constexpr std::array<double, 10> kRedBoundsUs = {
     1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6};
 
@@ -81,6 +80,18 @@ const char* status_class_of(int status) {
   if (status >= 400) return "4xx";
   if (status >= 300) return "3xx";
   return "2xx";
+}
+
+/// A response the reactor answers itself. Its slot is filled directly (no
+/// deliver() pass), so it defaults to close; answer() overrides that per
+/// member when the connection is reusable.
+HttpResponse error_response(int status, const std::string& message) {
+  HttpResponse response;
+  response.status = status;
+  response.set_header("Connection", "close");
+  response.set_header("Content-Type", "application/json");
+  response.body = error_body(status, message);
+  return response;
 }
 
 }  // namespace
@@ -923,30 +934,11 @@ EpollReactor::Conn* EpollReactor::conn_by_id(std::uint64_t id) {
   return it->second.get();
 }
 
-HttpResponse EpollReactor::error_response(int status,
-                                          const std::string& message) const {
-  HttpResponse response;
-  response.status = status;
-  // Error slots are filled directly (no deliver() pass); default to close,
-  // which deliver() overrides per member when the conn is reusable.
-  response.set_header("Connection", "close");
-  response.set_header("Content-Type", "application/json");
-  response.body = "{\"error\": {\"status\": " + std::to_string(status) +
-                  ", \"message\": \"" + json_escape(message) + "\"}}";
-  return response;
-}
-
 HttpResponse EpollReactor::busy_response() const {
-  HttpResponse response;
-  response.status = 503;
-  response.set_header("Connection", "close");
-  response.set_header("Retry-After",
-                      std::to_string(options_.retry_after_seconds));
-  response.set_header("Content-Type", "application/json");
-  response.body =
-      "{\"error\": {\"status\": 503, \"message\": \"server at capacity; "
-      "retry after " +
-      std::to_string(options_.retry_after_seconds) + " s\"}}";
+  const std::string seconds = std::to_string(options_.retry_after_seconds);
+  HttpResponse response =
+      error_response(503, "server at capacity; retry after " + seconds + " s");
+  response.set_header("Retry-After", seconds);
   return response;
 }
 

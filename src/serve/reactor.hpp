@@ -243,7 +243,6 @@ class EpollReactor {
   void touch(Conn& conn);
   int next_wait_ms(int max_wait_ms) const;
   Conn* conn_by_id(std::uint64_t id);
-  HttpResponse error_response(int status, const std::string& message) const;
   HttpResponse busy_response() const;
   void publish_gauges();
 

@@ -16,8 +16,8 @@
 namespace picp::serve {
 
 HttpServer::HttpServer(const ServerOptions& options, Handler handler)
-    : options_(options), handler_(std::move(handler)) {
-  PICP_REQUIRE(handler_ != nullptr, "HttpServer needs a handler");
+    : options_(options) {
+  PICP_REQUIRE(handler != nullptr, "HttpServer needs a handler");
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   PICP_REQUIRE(listen_fd_ >= 0,
@@ -52,29 +52,19 @@ HttpServer::HttpServer(const ServerOptions& options, Handler handler)
 
   pool_ = std::make_unique<ThreadPool>(options_.threads);
 
-  ReactorOptions reactor_options;
-  reactor_options.max_connections = options_.max_connections;
-  reactor_options.max_pending_requests = options_.max_pending_requests;
-  reactor_options.request_timeout_ms = options_.request_timeout_ms;
-  reactor_options.drain_timeout_ms = options_.drain_timeout_ms;
-  reactor_options.retry_after_seconds = options_.retry_after_seconds;
-  reactor_options.accept_backoff_ms = options_.accept_backoff_ms;
-  reactor_options.coalesce_key = options_.coalesce_key;
-  reactor_options.trace_sample_n = options_.trace_sample_n;
-  reactor_options.slow_request_ms = options_.slow_request_ms;
-  if (!options_.access_log_path.empty())
+  ReactorOptions reactor_options = options_.reactor;
+  if (!options_.access_log_path.empty()) {
     access_log_ = std::make_unique<AccessLog>(AccessLogOptions{
         options_.access_log_path, options_.access_log_max_bytes});
-  if (access_log_ != nullptr || options_.observer) {
-    reactor_options.observer = [this](const RequestTrace& trace) {
-      if (access_log_ != nullptr) access_log_->write(trace);
-      if (options_.observer) options_.observer(trace);
+    reactor_options.observer = [log = access_log_.get(),
+                                next = std::move(reactor_options.observer)](
+                                   const RequestTrace& trace) {
+      log->write(trace);
+      if (next) next(trace);
     };
   }
-  reactor_options.limits = options_.limits;
-  reactor_ = std::make_unique<EpollReactor>(
-      reactor_options, [this](const HttpRequest& r) { return handler_(r); },
-      pool_.get());
+  reactor_ = std::make_unique<EpollReactor>(reactor_options,
+                                            std::move(handler), pool_.get());
 }
 
 HttpServer::~HttpServer() {
@@ -88,42 +78,23 @@ void HttpServer::request_shutdown() {
   if (reactor_) reactor_->request_stop();
 }
 
-ServerStats HttpServer::stats() const {
-  const ReactorStats r = reactor_->stats();
-  ServerStats s;
-  s.accepted = r.accepted;
-  s.rejected_busy = r.rejected_busy;
-  s.shed_queue = r.shed_queue;
-  s.requests = r.requests;
-  s.timeouts = r.timeouts;
-  s.batch_leaders = r.batch_leaders;
-  s.batch_members = r.batch_members;
-  s.active_connections = r.active_connections;
-  s.peak_connections = r.peak_connections;
-  s.pending_requests = r.pending_requests;
-  return s;
-}
-
 bool HttpServer::not_ready(std::string* reason) const {
   if (reactor_->stopping()) {
     if (reason != nullptr) *reason = "draining";
     return true;
   }
-  if (reactor_->stats().pending_requests >= options_.max_pending_requests) {
+  if (reactor_->stats().pending_requests >=
+      options_.reactor.max_pending_requests) {
     if (reason != nullptr) *reason = "queue saturated";
     return true;
   }
   return false;
 }
 
-std::uint64_t HttpServer::access_log_lines() const {
-  return access_log_ != nullptr ? access_log_->lines_written() : 0;
-}
-
 void HttpServer::run() {
   PICP_LOG_INFO << "serving on " << options_.host << ":" << port_ << " ("
                 << pool_->size() << " workers, max "
-                << options_.max_connections << " connections)";
+                << options_.reactor.max_connections << " connections)";
   reactor_->listen_on(listen_fd_);
   reactor_->run();
   pool_->wait_idle();

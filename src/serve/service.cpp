@@ -1,7 +1,5 @@
 #include "serve/service.hpp"
 
-#include <array>
-
 #include "mapping/mapper.hpp"
 #include "serve/request_trace.hpp"
 #include "telemetry/manifest.hpp"
@@ -11,18 +9,11 @@
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 #include "util/string_util.hpp"
-#include "util/timer.hpp"
 #include "workload/workload_stats.hpp"
 
 namespace picp::serve {
 
 namespace {
-
-/// Latency histogram bounds (microseconds): 100 µs … 30 s, roughly
-/// log-spaced — cache hits land in the first buckets, cold workload
-/// generations in the last.
-constexpr std::array<double, 10> kLatencyBoundsUs = {
-    1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5, 1e6, 3e6};
 
 /// Wrong-type / missing-field JSON problems become 400s, not 500s.
 class BadRequest : public Error {
@@ -53,15 +44,6 @@ constexpr double kMaxIntervalCount = 1e9;
 constexpr std::size_t kMaxKeyedBodyBytes = 4096;
 
 }  // namespace
-
-std::string error_body(int status, const std::string& message) {
-  Json error = Json::object();
-  error.set("status", Json(status));
-  error.set("message", Json(message));
-  Json body = Json::object();
-  body.set("error", std::move(error));
-  return json_line(body);
-}
 
 ServiceConfig ServiceConfig::from_config(const Config& config) {
   ServiceConfig service;
@@ -526,7 +508,6 @@ void PredictionService::publish_cache_counters() {
 }
 
 HttpResponse PredictionService::handle(const HttpRequest& request) {
-  Stopwatch watch;
   HttpResponse response;
   try {
     Deadline deadline;
@@ -567,22 +548,6 @@ HttpResponse PredictionService::handle(const HttpRequest& request) {
   // Set-if-absent: the Prometheus exposition branch picks its own type.
   if (response.header("content-type") == nullptr)
     response.set_header("Content-Type", "application/json");
-
-  if (telemetry::enabled()) {
-    auto& reg = telemetry::registry();
-    reg.counter("serve.requests").add();
-    const char* klass = response.status >= 500   ? "serve.responses.5xx"
-                        : response.status >= 400 ? "serve.responses.4xx"
-                                                 : "serve.responses.2xx";
-    reg.counter(klass).add();
-    // One histogram per endpoint family (bounded name set: the route map);
-    // keyed on the path alone so a query string cannot mint a new series.
-    std::string endpoint = target_path(request.target);
-    for (char& c : endpoint)
-      if (c == '/') c = '_';
-    reg.histogram("serve.latency_us" + endpoint, kLatencyBoundsUs)
-        .observe(watch.seconds() * 1e6);
-  }
   return response;
 }
 

@@ -143,7 +143,4 @@ class PredictionService {
       std::chrono::steady_clock::now();
 };
 
-/// JSON body for a structured error reply.
-std::string error_body(int status, const std::string& message);
-
 }  // namespace picp::serve

@@ -1,6 +1,7 @@
 // Unit tests for the observability layer: histogram quantile estimation,
 // Prometheus text exposition, trace-id hygiene, exclusive-time stage
-// recording, and the NDJSON access log (line schema + rotation). The
+// recording, and the NDJSON access log (line schema, rotation, and the
+// counters that report a log that stopped). The
 // reactor-integrated pieces (trace propagation over real sockets, the
 // deterministic span-sum property) live in test_reactor.cpp.
 
@@ -10,6 +11,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "telemetry/prometheus.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span_tracer.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace picp::serve {
@@ -354,6 +357,36 @@ TEST(AccessLog, RotatesAtTheByteBudget) {
 
   std::remove(path.c_str());
   std::remove((path + ".1").c_str());
+}
+
+TEST(AccessLog, CountsLinesLostToAFailedRotation) {
+  telemetry::configure(telemetry::SessionOptions{});
+  auto& dropped = telemetry::registry().counter("serve.access_log.dropped");
+  auto& failures =
+      telemetry::registry().counter("serve.access_log.rotation_failures");
+  const std::uint64_t dropped_before = dropped.value();
+  const std::uint64_t failures_before = failures.value();
+  // Deleting the directory makes the rotation's rename and its reopen both
+  // fail with ENOENT, whoever runs the test (root ignores permissions).
+  const std::filesystem::path dir =
+      testing::TempDir() + "/picp_access_gone_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+
+  std::chrono::steady_clock::time_point now{};
+  const RequestTrace trace = traced_request(&now);
+  const std::size_t line_bytes = access_log_line(trace).size() + 1;
+  AccessLog log({(dir / "access.ndjson").string(), /*max_bytes=*/512});
+  ASSERT_LT(line_bytes, 512u);
+  ASSERT_GT(2 * line_bytes, 512u);  // the second line crosses the budget
+  log.write(trace);
+  std::filesystem::remove_all(dir);
+  for (int i = 0; i < 5; ++i) log.write(trace);
+
+  // The open file took the second line; then the rotation failed and the
+  // last four had nowhere to go.
+  EXPECT_EQ(log.lines_written(), 2u);
+  EXPECT_EQ(failures.value() - failures_before, 1u);
+  EXPECT_EQ(dropped.value() - dropped_before, 4u);
 }
 
 TEST(AccessLog, ThrowsWhenThePathCannotOpen) {

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -927,8 +928,11 @@ TEST_F(ReactorServiceTest, MetricszSpeaksPrometheusOnRequest) {
   ASSERT_NE(prom.header("content-type"), nullptr);
   EXPECT_EQ(*prom.header("content-type"), "text/plain; version=0.0.4");
   EXPECT_NE(prom.body.find("# HELP picp_"), std::string::npos);
-  EXPECT_NE(prom.body.find("# TYPE picp_serve_requests counter"),
+  EXPECT_NE(prom.body.find("# TYPE picp_serve_accepted counter"),
             std::string::npos);
+  EXPECT_NE(
+      prom.body.find("# TYPE picp_serve_red_total_us_metricsz_2xx histogram"),
+      std::string::npos);
   EXPECT_EQ(prom.body.find("{\"metrics\""), std::string::npos)
       << "prometheus body leaked JSON";
 }
@@ -1083,6 +1087,111 @@ TEST_F(ReactorTest, SampledSlowRequestEmitsSpansThatSumToTheTotal) {
     }
   }
   EXPECT_TRUE(red_seen) << "RED latency histogram was never registered";
+}
+
+TEST_F(ReactorTest, RedCountsEveryResponseOnceInItsRouteAndClass) {
+  // The RED histograms are the daemon's only request counts: every
+  // response a peer reads, whoever built it, must land in exactly one
+  // serve.red.total_us.<route>.<class>.
+  telemetry::configure(telemetry::SessionOptions{});
+  ReactorOptions options = quick_options();
+  options.max_pending_requests = 1;  // a parked execution fills the queue
+  make(options, [echo = gated_echo()](const HttpRequest& request) {
+    if (request.target == "/v1/models") throw Error("model store offline");
+    return echo(request);
+  }, pool());
+
+  std::map<std::string, std::uint64_t> expected;  // <route>.<class> -> count
+  std::vector<HttpResponse> read;
+  // Step the loop until `peer` reads its next response; expect exactly one.
+  const auto next_response = [&](Peer& peer) {
+    std::vector<HttpResponse> got;
+    EXPECT_TRUE(spin_until([&] {
+      peer.pump();
+      got = peer.take_responses();
+      return !got.empty();
+    }));
+    EXPECT_EQ(got.size(), 1u);
+    read.insert(read.end(), got.begin(), got.end());
+    return got.empty() ? HttpResponse{} : got[0];
+  };
+
+  Peer solo = adopt_peer();
+  solo.send("GET /healthz HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(next_response(solo).status, 200);
+  ++expected["healthz.2xx"];
+
+  Peer thrower = adopt_peer();
+  thrower.send("GET /v1/models HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(next_response(thrower).status, 500);
+  ++expected["models.5xx"];
+
+  Peer garbled = adopt_peer();
+  garbled.send("NOT A REQUEST\r\n\r\n");
+  EXPECT_EQ(next_response(garbled).status, 400);
+  ++expected["other.4xx"];
+
+  // A leader parked on the gate, one member that joins at once (its budget
+  // ends 100 ms in) and two that join 50 ms later (150 ms).
+  const std::string keyed =
+      "POST /v1/predict HTTP/1.1\r\nX-Picp-Deadline-Ms: 100\r\n"
+      "Content-Length: 2\r\n\r\nhi";
+  Peer leader = adopt_peer();
+  leader.send(keyed);
+  ASSERT_TRUE(spin_until([&] { return gate_.blocked.load() == 1; }));
+  Peer early = adopt_peer();
+  early.send(keyed);
+  cycle();
+  advance_ms(50);
+  Peer late_a = adopt_peer();
+  Peer late_b = adopt_peer();
+  late_a.send(keyed);
+  late_b.send(keyed);
+  cycle();
+
+  // The parked leader holds the only queue slot: new work is shed.
+  Peer shed = adopt_peer();
+  shed.send("POST /v1/workload HTTP/1.1\r\nContent-Length: 2\r\n\r\nno");
+  EXPECT_EQ(next_response(shed).status, 503);
+  ++expected["workload.5xx"];
+
+  advance_ms(51);  // 101 ms: past the early member's budget only
+  EXPECT_EQ(next_response(early).status, 504);
+  ++expected["predict.5xx"];
+
+  gate_.open();
+  for (Peer* peer : {&leader, &late_a, &late_b}) {
+    EXPECT_EQ(next_response(*peer).status, 200);
+    ++expected["predict.2xx"];
+  }
+  EXPECT_EQ(gate_.blocked.load(), 1) << "a member ran its own execution";
+
+  Peer loris = adopt_peer();
+  loris.send("POST /v1/workload HTTP/1.1\r\nContent-Le");
+  cycle();
+  advance_ms(1001);
+  EXPECT_EQ(next_response(loris).status, 408);
+  ++expected["other.4xx"];
+
+  const std::string prefix = "serve.red.total_us.";
+  std::map<std::string, std::uint64_t> counted;
+  std::uint64_t total = 0;
+  for (const auto& h : telemetry::registry().snapshot().histograms) {
+    if (h.name.rfind(prefix, 0) != 0 || h.count == 0) continue;
+    counted[h.name.substr(prefix.size())] = h.count;
+    total += h.count;
+  }
+  EXPECT_EQ(total, read.size());
+  EXPECT_EQ(counted, expected);
+
+  // The reactor built every error here, as the same document the service
+  // sends.
+  for (const HttpResponse& response : read) {
+    if (response.status < 400) continue;
+    const Json error = Json::parse(response.body).at("error");
+    EXPECT_EQ(error.at("status").as_int(), response.status) << response.body;
+    EXPECT_TRUE(error.at("message").is_string()) << response.body;
+  }
 }
 
 TEST_F(ReactorTest, MetricsScrapeNeverBlocksBehindABatchedStorm) {

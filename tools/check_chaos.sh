@@ -4,7 +4,8 @@
 # PR 7 end to end —
 #
 #   * with nothing armed, /metricsz shows zero degraded / quarantine /
-#     spill-failure events and no 5xx responses;
+#     spill-failure events and no 5xx responses in the RED histograms
+#     (the deadline storm's 504 is the positive control for that sum);
 #   * a disk-full spill storm (errno(28) at cache.spill) is invisible to
 #     clients: every response stays 200 and no torn spill file appears;
 #   * slow per-response writes (delay at http.write) never wedge workers;
@@ -56,6 +57,20 @@ m = doc.get("metrics", doc)
 name = sys.argv[2]
 value = m.get("counters", {}).get(name, m.get("gauges", {}).get(name, 0))
 print(int(value))
+EOF
+}
+
+# 5xx responses the daemon sent, from the RED histograms: the sum of every
+# serve.red.total_us.<route>.5xx count. Each finished request lands in
+# exactly one of them, so a 5xx cannot hide in a route this script does
+# not name.
+red_5xx() { # red_5xx <file>
+    "$PYTHON" - "$1" <<'EOF'
+import json, sys
+doc = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+histograms = doc.get("metrics", doc).get("histograms", {})
+print(sum(int(h["count"]) for name, h in histograms.items()
+          if name.startswith("serve.red.total_us.") and name.endswith(".5xx")))
 EOF
 }
 
@@ -140,12 +155,14 @@ tail -n +2 r4_hit.txt > body_r4_hit.json
 cmp body_r4.json body_r4_hit.json || fail "cached replay not byte-identical"
 
 "$PICPREDICT" query /metricsz --port "$PORT" > metrics_base.txt
-for m in serve.responses.5xx serve.degraded serve.deadline_exceeded \
+for m in serve.degraded serve.deadline_exceeded \
          serve.cache.response.quarantined serve.cache.response.stale_served \
          serve.cache.response.spill_failures failpoint.armed; do
     v=$(metric metrics_base.txt "$m")
     [[ "$v" -eq 0 ]] || fail "disarmed daemon reports $m=$v (want 0)"
 done
+v=$(red_5xx metrics_base.txt)
+[[ "$v" -eq 0 ]] || fail "disarmed daemon sent $v 5xx response(s) (want 0)"
 
 echo "== storm 1: disk-full spills are invisible to clients =="
 arm "$PORT" "cache.spill=errno(28):1in2"
@@ -161,7 +178,7 @@ disarm_all "$PORT"
 SPILL_FAILURES=$(metric metrics_spill.txt "serve.cache.response.spill_failures")
 [[ "$SPILL_FAILURES" -ge 1 ]] \
     || fail "spill storm never tripped serve.cache.response.spill_failures"
-[[ $(metric metrics_spill.txt "serve.responses.5xx") -eq 0 ]] \
+[[ $(red_5xx metrics_spill.txt) -eq 0 ]] \
     || fail "spill storm leaked a 5xx to a client"
 leftover=$(find spill -name '*.tmp*' | wc -l)
 [[ "$leftover" -eq 0 ]] || fail "spill storm left temp files in the spill dir"
@@ -189,6 +206,10 @@ disarm_all "$PORT"
     || fail "serve.deadline_exceeded counter never moved"
 [[ $(metric metrics_deadline.txt "serve.deadline.stage.generate.partition") -ge 1 ]] \
     || fail "no per-stage deadline counter for generate.partition"
+# Positive control for the zero-5xx checks above: the 504 must show up in
+# the same sum they read, or they could pass on a renamed metric.
+[[ $(red_5xx metrics_deadline.txt) -ge 1 ]] \
+    || fail "the deadline storm's 504 is missing from the RED 5xx counts"
 
 echo "== recovery: storms over, service replays byte-identically =="
 "$PICPREDICT" query /metricsz --port "$PORT" > metrics_armedcheck.txt

@@ -315,6 +315,17 @@ grep -q 'p99_us' top.txt || fail "top header missing: $(cat top.txt)"
 # 1 banner + 1 header + 2 data rows.
 [[ $(wc -l < top.txt) -eq 4 ]] \
     || fail "top --iterations 2 produced $(wc -l < top.txt) lines, wanted 4"
+"$PYTHON" - top.txt <<'EOF'
+import math, sys
+rows = [line.split() for line in open(sys.argv[1]).read().splitlines()[2:]]
+rps = [float(row[0]) for row in rows]
+requests = [int(row[-1]) for row in rows]
+for value in rps:
+    assert math.isfinite(value) and value >= 0, "top printed rps %r" % value
+assert requests[0] > 0, "top read no requests from the RED histograms"
+assert requests[1] >= requests[0], "top's requests went down: %r" % requests
+print("top OK (rps %s, requests %s)" % (rps, requests))
+EOF
 
 echo "== malformed and misrouted requests get structured errors =="
 set +e

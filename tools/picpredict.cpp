@@ -62,9 +62,9 @@
 //
 //   picpredict top --port P [--host H] [--interval-ms MS] [--iterations N]
 //       Live serving stats: poll /metricsz and render a refreshing table
-//       of RPS, in-flight requests, queue depth, latency p50/p95/p99 (from
-//       the RED histograms), cache hit ratio, and shed/batch counters.
-//       --iterations 0 (the default) polls until interrupted.
+//       of RPS and latency p50/p95/p99 (both from the RED histograms),
+//       in-flight requests, queue depth, cache hit ratio, and shed/batch
+//       counters. --iterations 0 (the default) polls until interrupted.
 //
 // Exit codes (contract, covered by tests/test_cli_errors.cpp): 0 success,
 // 1 runtime failure (missing/corrupt input, prediction error, non-2xx
@@ -625,25 +625,25 @@ int cmd_serve(int argc, char** argv) {
   options.threads = static_cast<std::size_t>(flag_int_value(
       "threads", flag_or(flags, "threads",
                          std::to_string(config.get_int("serve.threads", 0)))));
-  options.max_connections = static_cast<std::size_t>(
+  serve::ReactorOptions& reactor = options.reactor;
+  reactor.max_connections = static_cast<std::size_t>(
       config.get_int("serve.max_connections",
-                     static_cast<long long>(options.max_connections)));
-  options.request_timeout_ms = static_cast<int>(config.get_int(
-      "serve.request_timeout_ms", options.request_timeout_ms));
-  options.drain_timeout_ms = static_cast<int>(
-      config.get_int("serve.drain_timeout_ms", options.drain_timeout_ms));
-  options.max_pending_requests = static_cast<std::size_t>(
+                     static_cast<long long>(reactor.max_connections)));
+  reactor.request_timeout_ms = static_cast<int>(config.get_int(
+      "serve.request_timeout_ms", reactor.request_timeout_ms));
+  reactor.drain_timeout_ms = static_cast<int>(
+      config.get_int("serve.drain_timeout_ms", reactor.drain_timeout_ms));
+  reactor.max_pending_requests = static_cast<std::size_t>(
       config.get_int("serve.max_pending",
-                     static_cast<long long>(options.max_pending_requests)));
-  options.trace_sample_n = static_cast<std::uint64_t>(
+                     static_cast<long long>(reactor.max_pending_requests)));
+  reactor.trace_sample_n = static_cast<std::uint64_t>(
       config.get_int("serve.trace_sample_n", 0));
-  options.slow_request_ms = static_cast<int>(
+  reactor.slow_request_ms = static_cast<int>(
       config.get_int("serve.slow_request_ms", 0));
   options.access_log_path = config.get_string("serve.access_log", "");
   options.access_log_max_bytes = static_cast<std::size_t>(config.get_int(
       "serve.access_log_max_bytes",
       static_cast<long long>(options.access_log_max_bytes)));
-  options.limits.io_timeout_ms = options.request_timeout_ms;
 
   // The daemon always collects telemetry — /metricsz and the cache
   // hit/miss counters are part of the serving contract, not an opt-in.
@@ -657,7 +657,7 @@ int cmd_serve(int argc, char** argv) {
   telemetry::add_run_annotation("trace", service_config.trace_path);
 
   serve::PredictionService service(service_config);
-  options.coalesce_key = [&service](const serve::HttpRequest& request) {
+  reactor.coalesce_key = [&service](const serve::HttpRequest& request) {
     return service.coalesce_key(request);
   };
   serve::HttpServer server(
@@ -691,7 +691,7 @@ int cmd_serve(int argc, char** argv) {
   server.run();  // blocks until SIGINT/SIGTERM, then drains
   g_server = nullptr;
 
-  const serve::ServerStats stats = server.stats();
+  const serve::ReactorStats stats = server.stats();
   if (telemetry_persisted) telemetry::finalize();
   std::printf("picpredict serve: drained after %llu request(s), "
               "%llu connection(s) accepted, %llu shed\n",
@@ -871,7 +871,8 @@ telemetry::MetricsSnapshot scrape_metrics(const std::string& host,
 }
 
 /// Merge every per-route/per-class serve.red.total_us.* histogram into one
-/// (they share the bucket ladder), so `top` quotes daemon-wide quantiles.
+/// (they share the bucket ladder), so `top` quotes a daemon-wide request
+/// count and quantiles.
 telemetry::HistogramSnapshot aggregate_red_total(
     const telemetry::MetricsSnapshot& snapshot) {
   telemetry::HistogramSnapshot total;
@@ -916,16 +917,25 @@ int cmd_top(int argc, char** argv) {
   };
 
   std::uint64_t previous_requests = 0;
+  std::chrono::steady_clock::time_point previous_scrape;
   for (long long i = 0; iterations == 0 || i < iterations; ++i) {
     const telemetry::MetricsSnapshot snapshot = scrape_metrics(host, port);
-    const std::uint64_t requests = snapshot.counter_value("serve.requests");
-    const double rps =
-        i == 0 ? 0.0
-               : static_cast<double>(requests - previous_requests) *
-                     1000.0 / static_cast<double>(interval_ms);
-    previous_requests = requests;
-
+    const auto scraped = std::chrono::steady_clock::now();
+    // Every finished request lands in exactly one RED histogram, so their
+    // merged count is the daemon's request count.
     const telemetry::HistogramSnapshot red = aggregate_red_total(snapshot);
+    const std::uint64_t requests = red.count;
+    // Rate over the time that actually passed between scrapes. A count
+    // that went down means a new daemon took the port: no rate this row.
+    const double elapsed_s =
+        std::chrono::duration<double>(scraped - previous_scrape).count();
+    const double rps =
+        i == 0 || requests < previous_requests
+            ? 0.0
+            : static_cast<double>(requests - previous_requests) / elapsed_s;
+    previous_requests = requests;
+    previous_scrape = scraped;
+
     const double hits = static_cast<double>(
         snapshot.counter_value("serve.cache.response.hits"));
     const double misses = static_cast<double>(
