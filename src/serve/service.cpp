@@ -1,5 +1,8 @@
 #include "serve/service.hpp"
 
+#include <fstream>
+#include <iterator>
+
 #include "mapping/mapper.hpp"
 #include "serve/request_trace.hpp"
 #include "telemetry/manifest.hpp"
@@ -43,6 +46,30 @@ constexpr double kMaxIntervalCount = 1e9;
 /// runs alone and is parsed on a worker.
 constexpr std::size_t kMaxKeyedBodyBytes = 4096;
 
+/// The trace's content identity: its header fields plus, for a sealed v2
+/// trace, the footer's whole-file digest, which tells apart traces whose
+/// headers match. v1 traces carry no digest and keep the header identity.
+std::uint64_t trace_identity(const TraceReader& trace) {
+  const TraceHeader& header = trace.header();
+  Crc32c identity;
+  identity.update_pod(header.num_particles);
+  identity.update_pod(header.num_samples);
+  identity.update_pod(header.sample_stride);
+  identity.update_pod(header.domain.lo);
+  identity.update_pod(header.domain.hi);
+  if (const auto digest = trace.sealed_digest()) identity.update_pod(*digest);
+  return identity.value();
+}
+
+/// CRC32C of a file's bytes.
+std::uint64_t file_identity(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  PICP_REQUIRE(in.is_open(), "cannot open file: " + path);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return crc32c(bytes.data(), bytes.size());
+}
+
 }  // namespace
 
 ServiceConfig ServiceConfig::from_config(const Config& config) {
@@ -78,11 +105,10 @@ ServiceConfig ServiceConfig::from_config(const Config& config) {
 
 PredictionService::PredictionService(const ServiceConfig& config)
     : config_(config),
-      mesh_([&config] {
-        TraceReader probe(config.trace_path);
-        return SpectralMesh(probe.header().domain, config.nelx, config.nely,
-                            config.nelz, config.points_per_dim);
-      }()),
+      trace_(config.trace_path),
+      trace_identity_(trace_identity(trace_)),
+      mesh_(trace_.header().domain, config.nelx, config.nely, config.nelz,
+            config.points_per_dim),
       workload_cache_(config.workload_cache_capacity),
       response_cache_(
           config.response_cache_capacity, config.cache_dir,
@@ -94,18 +120,9 @@ PredictionService::PredictionService(const ServiceConfig& config)
              return bytes;
            }}) {
   if (!config_.failpoints.empty()) failpoint::arm_many(config_.failpoints);
-  trace_ = std::make_unique<TraceReader>(config_.trace_path);
-  const TraceHeader& header = trace_->header();
-  Crc32c identity;
-  identity.update_pod(header.num_particles);
-  identity.update_pod(header.num_samples);
-  identity.update_pod(header.sample_stride);
-  identity.update_pod(header.domain.lo);
-  identity.update_pod(header.domain.hi);
-  trace_identity_ = identity.value();
-
   if (!config_.models_path.empty()) {
     models_ = ModelSet::load(config_.models_path);
+    models_identity_ = file_identity(config_.models_path);
     // Resolve the models once at boot, so a set the predictor would misread
     // fails `serve` at start instead of every /v1/predict.
     const Predictor resolved(models_, config_.default_filter);
@@ -113,8 +130,8 @@ PredictionService::PredictionService(const ServiceConfig& config)
   }
   pipeline_ = std::make_unique<PredictionPipeline>(mesh_, models_);
   PICP_LOG_INFO << "service ready: trace " << config_.trace_path << " ("
-                << header.num_particles << " particles, "
-                << header.num_samples << " samples), models "
+                << trace_.num_particles() << " particles, "
+                << trace_.num_samples() << " samples), models "
                 << (models_loaded_ ? config_.models_path : "<none>");
 }
 
@@ -140,7 +157,7 @@ std::uint64_t PredictionService::request_fingerprint(
     const PredictionConfig& config) const {
   Crc32c crc;
   crc.update_pod(workload_fingerprint(config));
-  crc.update(config_.models_path.data(), config_.models_path.size());
+  crc.update_pod(models_identity_);
   crc.update_pod(config.network.alpha);
   crc.update_pod(config.network.beta);
   crc.update_pod(config.network.bytes_per_particle);
@@ -256,8 +273,8 @@ std::shared_ptr<const WorkloadResult> PredictionService::workload_for(
         const RequestTrace::Stage stage("generate");
         if (telemetry::enabled())
           telemetry::registry().counter("serve.workload.generations").add();
-        std::lock_guard<std::mutex> lock(trace_mutex_);
-        return pipeline_->generate_workload(*trace_, config);
+        TraceReader cursor = trace_;
+        return pipeline_->generate_workload(cursor, config);
       },
       &from_cache);
   if (telemetry::enabled())

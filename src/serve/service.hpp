@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -67,9 +66,10 @@ struct ServiceConfig {
 /// (guarantees byte-identical replies for identical queries). The caches
 /// hold no in-flight state: coalesce_key() lets the reactor join
 /// equivalent in-flight requests before they reach the service. The trace
-/// is opened once per process; generation streams it under a mutex, so
-/// concurrent distinct configs serialize on the reader while cached
-/// configs never touch it.
+/// is opened once per process; each generation streams it through its own
+/// copy of the reader (an independent cursor over the shared file), so
+/// distinct configs generate concurrently and cached configs never touch
+/// it.
 class PredictionService {
  public:
   explicit PredictionService(const ServiceConfig& config);
@@ -126,15 +126,16 @@ class PredictionService {
   void publish_cache_counters();
 
   ServiceConfig config_;
+  /// Opened once; every generation reads through its own copy.
+  const TraceReader trace_;
+  /// Content identities folded into every fingerprint, so a shared
+  /// cache_dir never replays another trace's or model set's bodies.
+  const std::uint64_t trace_identity_;
+  std::uint64_t models_identity_ = 0;
   SpectralMesh mesh_;
   ModelSet models_;
   bool models_loaded_ = false;
   std::unique_ptr<PredictionPipeline> pipeline_;
-
-  /// One streaming reader for the process; generation holds the lock.
-  std::unique_ptr<TraceReader> trace_;
-  std::mutex trace_mutex_;
-  std::uint64_t trace_identity_ = 0;  // folded into every fingerprint
 
   ReadinessProbe readiness_probe_;
   ArtifactCache<WorkloadResult> workload_cache_;

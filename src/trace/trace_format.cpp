@@ -1,7 +1,6 @@
 #include "trace/trace_format.hpp"
 
 #include <cstring>
-#include <istream>
 #include <limits>
 
 #include "util/crc32.hpp"
@@ -58,28 +57,26 @@ std::vector<char> encode_trace_footer(std::uint64_t num_samples,
   return out;
 }
 
-TraceHeader decode_trace_header(std::istream& in, const std::string& path,
+TraceHeader decode_trace_header(const char* bytes, std::size_t size,
+                                const std::string& path,
                                 std::uint64_t file_bytes,
                                 bool check_claimed_fits) {
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  if (!in.good()) throw TraceCorruptError(path, "file shorter than the magic");
+  constexpr std::size_t kMagicBytes = sizeof(TraceHeader::kMagicV1);
+  if (size < kMagicBytes)
+    throw TraceCorruptError(path, "file shorter than the magic");
   std::uint32_t version = 0;
-  if (std::memcmp(magic, TraceHeader::kMagicV1, sizeof(magic)) == 0)
+  if (std::memcmp(bytes, TraceHeader::kMagicV1, kMagicBytes) == 0)
     version = 1;
-  else if (std::memcmp(magic, TraceHeader::kMagicV2, sizeof(magic)) == 0)
+  else if (std::memcmp(bytes, TraceHeader::kMagicV2, kMagicBytes) == 0)
     version = 2;
   else
     throw Error("not a picpredict trace file: " + path);
 
   const std::size_t header_bytes = TraceHeader::header_bytes_for(version);
-  std::vector<char> raw(header_bytes);
-  std::memcpy(raw.data(), magic, sizeof(magic));
-  in.read(raw.data() + sizeof(magic),
-          static_cast<std::streamsize>(header_bytes - sizeof(magic)));
-  if (!in.good()) throw TraceCorruptError(path, "truncated trace header");
+  if (size < header_bytes)
+    throw TraceCorruptError(path, "truncated trace header");
 
-  const char* cursor = raw.data() + sizeof(magic);
+  const char* cursor = bytes + kMagicBytes;
   TraceHeader header;
   header.version = take_pod<std::uint32_t>(cursor);
   if (header.version != version)
@@ -105,7 +102,7 @@ TraceHeader decode_trace_header(std::istream& in, const std::string& path,
   if (version >= 2) {
     const std::uint32_t stored = take_pod<std::uint32_t>(cursor);
     const std::uint32_t computed =
-        crc32c(raw.data(), header_bytes - sizeof(std::uint32_t));
+        crc32c(bytes, header_bytes - sizeof(std::uint32_t));
     if (stored != computed)
       throw TraceCorruptError(path, "header checksum mismatch");
   }

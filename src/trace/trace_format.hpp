@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -95,7 +94,7 @@ struct TraceHeader {
                         : sizeof(std::uint64_t) + payload;
   }
   /// On-disk header size for a format version (v1: 88, v2: 92).
-  static std::size_t header_bytes_for(std::uint32_t version) {
+  static constexpr std::size_t header_bytes_for(std::uint32_t version) {
     const std::size_t v1 = sizeof(kMagicV1) + 2 * sizeof(std::uint32_t) +
                            3 * sizeof(std::uint64_t) + 6 * sizeof(double);
     return version >= 2 ? v1 + sizeof(std::uint32_t) : v1;
@@ -142,14 +141,17 @@ std::vector<char> encode_trace_header(const TraceHeader& header);
 std::vector<char> encode_trace_footer(std::uint64_t num_samples,
                                       std::uint32_t digest);
 
-/// Parse and validate a trace header from `in`, leaving the stream at the
-/// first sample. `file_bytes` is the file's actual size, used to reject
-/// headers whose claimed sample count cannot fit (a malformed header must
-/// fail with a typed error, not attempt a multi-TB allocation); pass
+/// Parse and validate a trace header from the first `size` bytes of a
+/// file (`size` may be short of a full header; that is reported as
+/// truncation). The first sample starts at `header.header_bytes()`.
+/// `file_bytes` is the file's actual size, used to reject headers whose
+/// claimed sample count cannot fit (a malformed header must fail with a
+/// typed error, not attempt a multi-TB allocation); pass
 /// `check_claimed_fits = false` when scanning unsealed/damaged files whose
 /// header fields are allowed to disagree with the byte count.
 /// Throws TraceCorruptError (or Error for a non-trace file).
-TraceHeader decode_trace_header(std::istream& in, const std::string& path,
+TraceHeader decode_trace_header(const char* bytes, std::size_t size,
+                                const std::string& path,
                                 std::uint64_t file_bytes,
                                 bool check_claimed_fits = true);
 

@@ -1,5 +1,10 @@
 #include "trace/trace_reader.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "telemetry/telemetry.hpp"
@@ -26,34 +31,32 @@ void count_sample_read(std::uint64_t frame_bytes) {
   samples.add();
   bytes.add(frame_bytes);
 }
-}  // namespace
 
-TraceReader::TraceReader(const std::string& path, TraceReadMode mode)
-    : in_(path, std::ios::binary), path_(path), mode_(mode) {
-  PICP_REQUIRE(in_.is_open(), "cannot open trace file: " + path);
-  in_.seekg(0, std::ios::end);
-  const auto file_bytes = static_cast<std::uint64_t>(in_.tellg());
-  in_.seekg(0);
-  header_ = decode_trace_header(in_, path_, file_bytes,
-                                mode_ == TraceReadMode::kStrict);
-  data_offset_ = static_cast<std::uint64_t>(in_.tellg());
-  report_.version = header_.version;
-  report_.file_bytes = file_bytes;
-  if (mode_ == TraceReadMode::kStrict)
-    open_strict(file_bytes);
-  else
-    prescan_salvage(file_bytes);
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(data_offset_));
+/// Read up to `size` bytes at `offset` without touching any shared file
+/// offset. Returns the count read: less than `size` only at end of file
+/// or on an I/O error, which callers report as truncation.
+std::uint64_t read_at(int fd, char* out, std::uint64_t size,
+                      std::uint64_t offset) {
+  std::uint64_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, out + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (n > 0) {
+      done += static_cast<std::uint64_t>(n);
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      break;
+    }
+  }
+  return done;
 }
 
-bool TraceReader::read_footer_at(std::uint64_t pos, std::uint64_t& num_samples,
-                                 std::uint32_t& digest) {
-  char raw[TraceHeader::kFooterBytes];
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(pos));
-  in_.read(raw, sizeof(raw));
-  if (!in_.good()) return false;
+/// The footer at `pos`, if a valid one is there.
+bool read_footer_at(int fd, std::uint64_t pos, std::uint64_t& num_samples,
+                    std::uint32_t& digest) {
+  char raw[TraceHeader::kFooterBytes] = {};
+  if (read_at(fd, raw, sizeof(raw), pos) != sizeof(raw)) return false;
   if (pod_at<std::uint64_t>(raw) != TraceHeader::kFooterMagic) return false;
   const auto stored_crc = pod_at<std::uint32_t>(raw + 20);
   if (stored_crc != crc32c(raw, 20)) return false;
@@ -62,110 +65,162 @@ bool TraceReader::read_footer_at(std::uint64_t pos, std::uint64_t& num_samples,
   return true;
 }
 
-void TraceReader::open_strict(std::uint64_t file_bytes) {
-  const std::uint64_t frame = header_.frame_bytes();
-  if (header_.version >= 2) {
-    const std::uint64_t expected = data_offset_ +
-                                   header_.num_samples * frame +
+void count_salvage_scan(const SalvageReport& report) {
+  if (!telemetry::enabled()) return;
+  auto& reg = telemetry::registry();
+  reg.counter("trace.salvage_scans").add();
+  reg.counter("trace.salvage_samples").add(report.valid_samples);
+  if (!report.intact()) reg.counter("trace.salvage_damaged").add();
+}
+
+}  // namespace
+
+struct TraceReader::File {
+  /// Opens the descriptor; load() then reads and checks the header.
+  File(const std::string& path, TraceReadMode mode);
+  File(const File&) = delete;
+  File& operator=(const File&) = delete;
+  ~File();
+
+  void load();
+
+  const int fd;
+  const std::string path;
+  const TraceReadMode mode;
+  TraceHeader header;
+  std::uint64_t data_offset = 0;
+  std::uint64_t effective_samples = 0;
+  bool sealed = false;
+  std::uint32_t footer_digest = 0;
+  SalvageReport report;
+
+ private:
+  void check_strict(std::uint64_t file_bytes);
+  void prescan_salvage(std::uint64_t file_bytes);
+};
+
+TraceReader::File::File(const std::string& path_in, TraceReadMode mode_in)
+    : fd(::open(path_in.c_str(), O_RDONLY | O_CLOEXEC)),
+      path(path_in),
+      mode(mode_in) {
+  PICP_REQUIRE(fd >= 0, "cannot open trace file: " + path);
+}
+
+TraceReader::File::~File() { ::close(fd); }
+
+void TraceReader::File::load() {
+  struct stat st {};
+  PICP_REQUIRE(::fstat(fd, &st) == 0, "cannot stat trace file: " + path);
+  const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
+  char raw[TraceHeader::header_bytes_for(TraceHeader::kVersionLatest)] = {};
+  const std::uint64_t got = read_at(fd, raw, sizeof(raw), 0);
+  header = decode_trace_header(raw, static_cast<std::size_t>(got), path,
+                               file_bytes, mode == TraceReadMode::kStrict);
+  data_offset = header.header_bytes();
+  report.version = header.version;
+  report.file_bytes = file_bytes;
+  if (mode == TraceReadMode::kStrict)
+    check_strict(file_bytes);
+  else
+    prescan_salvage(file_bytes);
+}
+
+void TraceReader::File::check_strict(std::uint64_t file_bytes) {
+  const std::uint64_t frame = header.frame_bytes();
+  if (header.version >= 2) {
+    const std::uint64_t expected = data_offset +
+                                   header.num_samples * frame +
                                    TraceHeader::kFooterBytes;
     if (file_bytes != expected)
       throw TraceCorruptError(
-          path_, "unsealed or truncated trace: header claims " +
-                     std::to_string(header_.num_samples) + " samples (" +
-                     std::to_string(expected) + " bytes) but the file holds " +
-                     std::to_string(file_bytes) + " bytes");
+          path, "unsealed or truncated trace: header claims " +
+                    std::to_string(header.num_samples) + " samples (" +
+                    std::to_string(expected) + " bytes) but the file holds " +
+                    std::to_string(file_bytes) + " bytes");
     std::uint64_t footer_samples = 0;
-    if (!read_footer_at(file_bytes - TraceHeader::kFooterBytes,
-                        footer_samples, footer_digest_))
-      throw TraceCorruptError(path_, "missing or corrupt sealed footer");
-    if (footer_samples != header_.num_samples)
+    if (!read_footer_at(fd, file_bytes - TraceHeader::kFooterBytes,
+                        footer_samples, footer_digest))
+      throw TraceCorruptError(path, "missing or corrupt sealed footer");
+    if (footer_samples != header.num_samples)
       throw TraceCorruptError(
-          path_, "footer sample count (" + std::to_string(footer_samples) +
-                     ") disagrees with the header (" +
-                     std::to_string(header_.num_samples) + ")");
-    sealed_ = true;
-  } else if (file_bytes < data_offset_ + header_.num_samples * frame) {
-    throw TraceCorruptError(path_, "trace shorter than its header claims");
+          path, "footer sample count (" + std::to_string(footer_samples) +
+                    ") disagrees with the header (" +
+                    std::to_string(header.num_samples) + ")");
+    sealed = true;
+  } else if (file_bytes < data_offset + header.num_samples * frame) {
+    throw TraceCorruptError(path, "trace shorter than its header claims");
   }
-  effective_samples_ = header_.num_samples;
-  report_.sealed = header_.version < 2 || sealed_;
-  report_.digest_ok = report_.sealed;
-  report_.claimed_samples = header_.num_samples;
-  report_.valid_samples = header_.num_samples;
-  report_.valid_bytes = data_offset_ + header_.num_samples * frame;
+  effective_samples = header.num_samples;
+  report.sealed = header.version < 2 || sealed;
+  report.digest_ok = report.sealed;
+  report.claimed_samples = header.num_samples;
+  report.valid_samples = header.num_samples;
+  report.valid_bytes = data_offset + header.num_samples * frame;
 }
 
-void TraceReader::prescan_salvage(std::uint64_t file_bytes) {
-  const std::uint64_t frame = header_.frame_bytes();
-  report_.claimed_samples = header_.num_samples;
+void TraceReader::File::prescan_salvage(std::uint64_t file_bytes) {
+  const std::uint64_t frame = header.frame_bytes();
+  report.claimed_samples = header.num_samples;
 
-  if (header_.version < 2) {
+  if (header.version < 2) {
     // v1 has no framing: every fully-present sample is recoverable. This
     // also rescues crash files whose header count was never patched.
-    const std::uint64_t data = file_bytes - data_offset_;
-    report_.valid_samples = data / frame;
-    report_.valid_bytes = data_offset_ + report_.valid_samples * frame;
-    report_.sealed = data % frame == 0 &&
-                     report_.valid_samples == header_.num_samples;
-    report_.digest_ok = report_.sealed;
-    if (!report_.sealed)
-      report_.detail =
-          "v1 trace: header claims " + std::to_string(header_.num_samples) +
-          " samples, file holds " + std::to_string(report_.valid_samples) +
+    const std::uint64_t data = file_bytes - data_offset;
+    report.valid_samples = data / frame;
+    report.valid_bytes = data_offset + report.valid_samples * frame;
+    report.sealed =
+        data % frame == 0 && report.valid_samples == header.num_samples;
+    report.digest_ok = report.sealed;
+    if (!report.sealed)
+      report.detail =
+          "v1 trace: header claims " + std::to_string(header.num_samples) +
+          " samples, file holds " + std::to_string(report.valid_samples) +
           " complete samples (" + std::to_string(data % frame) +
           " trailing bytes)";
-    effective_samples_ = report_.valid_samples;
-    if (telemetry::enabled()) {
-      auto& reg = telemetry::registry();
-      reg.counter("trace.salvage_scans").add();
-      reg.counter("trace.salvage_samples").add(report_.valid_samples);
-      if (!report_.intact()) reg.counter("trace.salvage_damaged").add();
-    }
+    effective_samples = report.valid_samples;
+    count_salvage_scan(report);
     return;
   }
 
   std::vector<char> raw(static_cast<std::size_t>(frame));
-  std::uint64_t pos = data_offset_;
+  std::uint64_t pos = data_offset;
   Crc32c digest;
   std::uint64_t valid = 0;
   std::uint64_t footer_samples = 0;
-  std::uint32_t footer_digest = 0;
+  std::uint32_t found_digest = 0;
   bool found_footer = false;
   while (true) {
     const std::uint64_t remaining = file_bytes - pos;
     if (remaining == TraceHeader::kFooterBytes &&
-        read_footer_at(pos, footer_samples, footer_digest)) {
+        read_footer_at(fd, pos, footer_samples, found_digest)) {
       found_footer = true;
       break;
     }
     if (remaining == 0) {
-      report_.detail = "unsealed trace (no footer); ends on a frame boundary";
+      report.detail = "unsealed trace (no footer); ends on a frame boundary";
       break;
     }
     if (remaining < frame) {
-      report_.detail = "unsealed trace with a partial trailing frame (" +
-                       std::to_string(remaining) + " bytes)";
+      report.detail = "unsealed trace with a partial trailing frame (" +
+                      std::to_string(remaining) + " bytes)";
       break;
     }
-    in_.clear();
-    in_.seekg(static_cast<std::streamoff>(pos));
-    in_.read(raw.data(), static_cast<std::streamsize>(frame));
-    if (!in_.good()) {
-      report_.detail = "read failed at byte " + std::to_string(pos);
+    if (read_at(fd, raw.data(), frame, pos) != frame) {
+      report.detail = "read failed at byte " + std::to_string(pos);
       break;
     }
     if (pod_at<std::uint32_t>(raw.data()) != TraceHeader::kFrameMagic) {
-      report_.detail = "bad frame magic at byte " + std::to_string(pos) +
-                       " (sample " + std::to_string(valid) + ")";
+      report.detail = "bad frame magic at byte " + std::to_string(pos) +
+                      " (sample " + std::to_string(valid) + ")";
       break;
     }
     const auto stored =
         pod_at<std::uint32_t>(raw.data() + frame - sizeof(std::uint32_t));
     if (stored != crc32c(raw.data(), static_cast<std::size_t>(
                                          frame - sizeof(std::uint32_t)))) {
-      report_.detail = "frame checksum mismatch at byte " +
-                       std::to_string(pos) + " (sample " +
-                       std::to_string(valid) + ")";
+      report.detail = "frame checksum mismatch at byte " +
+                      std::to_string(pos) + " (sample " +
+                      std::to_string(valid) + ")";
       break;
     }
     digest.update_pod(stored);
@@ -173,114 +228,106 @@ void TraceReader::prescan_salvage(std::uint64_t file_bytes) {
     pos += frame;
   }
 
-  report_.valid_samples = valid;
-  report_.valid_bytes = data_offset_ + valid * frame;
-  report_.sealed = found_footer;
+  report.valid_samples = valid;
+  report.valid_bytes = data_offset + valid * frame;
+  report.sealed = found_footer;
   if (found_footer) {
-    report_.claimed_samples = footer_samples;
-    sealed_ = true;
-    footer_digest_ = footer_digest;
-    report_.digest_ok = digest.value() == footer_digest &&
-                        footer_samples == valid &&
-                        header_.num_samples == footer_samples;
-    if (!report_.digest_ok)
-      report_.detail = digest.value() != footer_digest
-                           ? "whole-file digest mismatch"
-                           : "footer/header sample counts disagree with the "
-                             "frames present";
+    report.claimed_samples = footer_samples;
+    sealed = true;
+    footer_digest = found_digest;
+    report.digest_ok = digest.value() == footer_digest &&
+                       footer_samples == valid &&
+                       header.num_samples == footer_samples;
+    if (!report.digest_ok)
+      report.detail = digest.value() != footer_digest
+                          ? "whole-file digest mismatch"
+                          : "footer/header sample counts disagree with the "
+                            "frames present";
   }
-  effective_samples_ = valid;
-  if (telemetry::enabled()) {
-    auto& reg = telemetry::registry();
-    reg.counter("trace.salvage_scans").add();
-    reg.counter("trace.salvage_samples").add(report_.valid_samples);
-    if (!report_.intact()) reg.counter("trace.salvage_damaged").add();
-  }
+  effective_samples = valid;
+  count_salvage_scan(report);
+}
+
+TraceReader::TraceReader(const std::string& path, TraceReadMode mode) {
+  auto file = std::make_shared<File>(path, mode);
+  file->load();
+  file_ = std::move(file);
+}
+
+const TraceHeader& TraceReader::header() const { return file_->header; }
+
+std::uint64_t TraceReader::num_samples() const {
+  return file_->effective_samples;
+}
+
+std::optional<std::uint32_t> TraceReader::sealed_digest() const {
+  if (!file_->sealed) return std::nullopt;
+  return file_->footer_digest;
+}
+
+std::uint64_t TraceReader::byte_offset() const {
+  return file_->data_offset + cursor_ * file_->header.frame_bytes();
+}
+
+const SalvageReport& TraceReader::salvage_report() const {
+  return file_->report;
 }
 
 bool TraceReader::read_next(TraceSample& sample) {
-  if (cursor_ >= effective_samples_) return false;
+  const File& file = *file_;
+  if (cursor_ >= file.effective_samples) return false;
   failpoint::inject("trace.read");
-  const std::size_t np = static_cast<std::size_t>(header_.num_particles);
-  sample.positions.resize(np);
+  const TraceHeader& header = file.header;
+  const std::size_t np = static_cast<std::size_t>(header.num_particles);
+  const auto frame = static_cast<std::size_t>(header.frame_bytes());
+  frame_buffer_.resize(frame);
+  if (read_at(file.fd, frame_buffer_.data(), frame, byte_offset()) != frame)
+    throw TraceCorruptError(
+        file.path, "truncated trace sample " + std::to_string(cursor_));
 
-  if (header_.version >= 2) {
-    const auto frame = static_cast<std::size_t>(header_.frame_bytes());
-    frame_buffer_.resize(frame);
-    in_.read(frame_buffer_.data(), static_cast<std::streamsize>(frame));
-    if (!in_.good())
-      throw TraceCorruptError(path_, "truncated trace sample " +
-                                         std::to_string(cursor_));
-    if (pod_at<std::uint32_t>(frame_buffer_.data()) != TraceHeader::kFrameMagic)
-      throw TraceCorruptError(path_, "bad frame magic at sample " +
-                                         std::to_string(cursor_));
-    const auto stored = pod_at<std::uint32_t>(frame_buffer_.data() + frame -
-                                              sizeof(std::uint32_t));
-    if (stored !=
-        crc32c(frame_buffer_.data(), frame - sizeof(std::uint32_t)))
-      throw TraceCorruptError(path_, "frame checksum mismatch at sample " +
-                                         std::to_string(cursor_));
+  const char* payload = frame_buffer_.data();
+  if (header.version >= 2) {
+    if (pod_at<std::uint32_t>(payload) != TraceHeader::kFrameMagic)
+      throw TraceCorruptError(file.path, "bad frame magic at sample " +
+                                             std::to_string(cursor_));
+    const auto stored =
+        pod_at<std::uint32_t>(payload + frame - sizeof(std::uint32_t));
+    if (stored != crc32c(payload, frame - sizeof(std::uint32_t)))
+      throw TraceCorruptError(file.path, "frame checksum mismatch at sample " +
+                                             std::to_string(cursor_));
     last_frame_crc_ = stored;
     running_digest_.update_pod(stored);
-    const char* payload = frame_buffer_.data() + sizeof(std::uint32_t);
-    sample.iteration = pod_at<std::uint64_t>(payload);
-    payload += sizeof(std::uint64_t);
-    if (header_.coord_kind == CoordKind::kFloat32) {
-      for (std::size_t i = 0; i < np; ++i) {
-        const auto* c = payload + i * 3 * sizeof(float);
-        sample.positions[i] = Vec3(pod_at<float>(c),
-                                   pod_at<float>(c + sizeof(float)),
-                                   pod_at<float>(c + 2 * sizeof(float)));
-      }
-    } else {
-      std::memcpy(sample.positions.data(), payload, np * sizeof(Vec3));
-    }
-    ++cursor_;
-    if (telemetry::enabled()) count_sample_read(frame);
-    // End of a sequential strict read: the frame CRCs must reproduce the
-    // sealed footer's whole-file digest (catches e.g. reordered frames
-    // whose individual checksums are clean).
-    if (mode_ == TraceReadMode::kStrict && sealed_ && sequential_ &&
-        cursor_ == effective_samples_ &&
-        running_digest_.value() != footer_digest_)
-      throw TraceCorruptError(path_, "whole-file digest mismatch");
-    return true;
+    payload += sizeof(std::uint32_t);
   }
-
-  in_.read(reinterpret_cast<char*>(&sample.iteration),
-           sizeof(sample.iteration));
-  if (header_.coord_kind == CoordKind::kFloat32) {
-    frame_buffer_.resize(np * 3 * sizeof(float));
-    in_.read(frame_buffer_.data(),
-             static_cast<std::streamsize>(np * 3 * sizeof(float)));
+  sample.iteration = pod_at<std::uint64_t>(payload);
+  payload += sizeof(std::uint64_t);
+  sample.positions.resize(np);
+  if (header.coord_kind == CoordKind::kFloat32) {
     for (std::size_t i = 0; i < np; ++i) {
-      const char* c = frame_buffer_.data() + i * 3 * sizeof(float);
+      const char* c = payload + i * 3 * sizeof(float);
       sample.positions[i] =
           Vec3(pod_at<float>(c), pod_at<float>(c + sizeof(float)),
                pod_at<float>(c + 2 * sizeof(float)));
     }
   } else {
-    in_.read(reinterpret_cast<char*>(sample.positions.data()),
-             static_cast<std::streamsize>(np * sizeof(Vec3)));
+    std::memcpy(sample.positions.data(), payload, np * sizeof(Vec3));
   }
-  if (!in_.good())
-    throw TraceCorruptError(path_,
-                            "truncated trace sample " + std::to_string(cursor_));
   ++cursor_;
-  if (telemetry::enabled()) {
-    const std::size_t coord =
-        header_.coord_kind == CoordKind::kFloat32 ? sizeof(float) : sizeof(double);
-    count_sample_read(sizeof(sample.iteration) + np * 3 * coord);
-  }
+  if (telemetry::enabled()) count_sample_read(frame);
+  // End of a strict read: the frame CRCs must reproduce the sealed
+  // footer's whole-file digest (catches e.g. reordered frames whose
+  // individual checksums are clean). Every cursor starts at sample 0 and
+  // only moves forward, so its running digest covers every frame.
+  if (file.mode == TraceReadMode::kStrict && file.sealed &&
+      cursor_ == file.effective_samples &&
+      running_digest_.value() != file.footer_digest)
+    throw TraceCorruptError(file.path, "whole-file digest mismatch");
   return true;
 }
 
 void TraceReader::rewind() {
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(data_offset_));
   cursor_ = 0;
   running_digest_.reset();
-  sequential_ = true;
 }
 
 std::vector<TraceSample> read_full_trace(const std::string& path) {

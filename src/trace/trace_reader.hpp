@@ -1,6 +1,7 @@
 #pragma once
 
-#include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "trace/trace_format.hpp"
@@ -26,16 +27,26 @@ enum class TraceReadMode {
 /// generation over a trace far larger than memory stays O(num_particles)
 /// in space — the property the paper relies on for hundreds-of-GB traces.
 /// Reads both v2 (checksummed frames, sealed footer) and legacy v1 traces.
+///
+/// A reader is an immutable opened file (descriptor, header, footer,
+/// salvage report) shared by every copy, plus its own cursor. Copying a
+/// reader yields an independent cursor at the same position; frames are
+/// read with positional reads, so copies on different threads never
+/// share a file offset and need no lock.
 class TraceReader {
  public:
   explicit TraceReader(const std::string& path,
                        TraceReadMode mode = TraceReadMode::kStrict);
 
-  const TraceHeader& header() const { return header_; }
-  std::uint64_t num_particles() const { return header_.num_particles; }
+  const TraceHeader& header() const;
+  std::uint64_t num_particles() const { return header().num_particles; }
   /// Samples this reader will yield: the header's count in strict mode,
   /// the recovered prefix length in salvage mode.
-  std::uint64_t num_samples() const { return effective_samples_; }
+  std::uint64_t num_samples() const;
+
+  /// The sealed footer's whole-file digest (v2 only; nullopt for v1 and
+  /// for unsealed traces).
+  std::optional<std::uint32_t> sealed_digest() const;
 
   /// Decode the next sample into `sample` (its buffer is reused). Returns
   /// false at end of trace. Verifies the frame checksum (v2).
@@ -49,36 +60,23 @@ class TraceReader {
 
   /// File offset of the next frame — what a checkpoint records so a
   /// resumed writer knows where the verified prefix ends.
-  std::uint64_t byte_offset() const {
-    return data_offset_ + cursor_ * header_.frame_bytes();
-  }
+  std::uint64_t byte_offset() const;
 
   /// Stored CRC of the most recently read frame (v2; 0 for v1).
   std::uint32_t last_frame_crc() const { return last_frame_crc_; }
 
   /// Scan results (meaningful detail in salvage mode; strict mode fills
   /// the trivial "intact" report implied by its own checks passing).
-  const SalvageReport& salvage_report() const { return report_; }
+  const SalvageReport& salvage_report() const;
 
  private:
-  void open_strict(std::uint64_t file_bytes);
-  void prescan_salvage(std::uint64_t file_bytes);
-  bool read_footer_at(std::uint64_t pos, std::uint64_t& num_samples,
-                      std::uint32_t& digest);
+  /// Everything fixed at open; closes the descriptor with the last copy.
+  struct File;
 
-  std::ifstream in_;
-  std::string path_;
-  TraceReadMode mode_;
-  TraceHeader header_;
-  std::uint64_t data_offset_ = 0;
+  std::shared_ptr<const File> file_;
   std::uint64_t cursor_ = 0;
-  std::uint64_t effective_samples_ = 0;
-  bool sealed_ = false;
-  std::uint32_t footer_digest_ = 0;
   std::uint32_t last_frame_crc_ = 0;
   Crc32c running_digest_;
-  bool sequential_ = true;  // read from sample 0 with no seeks since
-  SalvageReport report_;
   std::vector<char> frame_buffer_;
 };
 

@@ -1,23 +1,29 @@
-// In-process tests of the service layer's robustness contract (PR 7):
+// In-process tests of the service layer's robustness contract:
 // per-request deadline propagation (504 + stage telemetry), degraded-mode
-// stale serving (X-Picp-Degraded), and the /v1/failpoints admin endpoint's
-// gating (404 when disabled, loopback-only when enabled). Drives
-// PredictionService::handle() directly — no sockets — against a miniature
-// trace generated once per process.
+// stale serving (X-Picp-Degraded), the /v1/failpoints admin endpoint's
+// gating (404 when disabled, loopback-only when enabled), concurrent cold
+// generations, and content-keyed caching. Drives PredictionService::handle()
+// directly — no sockets — against a miniature trace generated once per
+// process.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "picsim/sim_driver.hpp"
 #include "serve/http.hpp"
 #include "serve/service.hpp"
+#include "trace/trace_writer.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/rng.hpp"
 
 namespace picp::serve {
 namespace {
@@ -66,6 +72,62 @@ HttpRequest post(const std::string& target, const std::string& body) {
   request.target = target;
   request.body = body;
   return request;
+}
+
+/// Distinct cold configs: each needs its own workload generation.
+std::vector<std::string> distinct_bodies() {
+  return {"{\"ranks\": [2]}",
+          "{\"ranks\": [3]}",
+          "{\"ranks\": [5], \"mapper\": \"element\"}",
+          "{\"ranks\": [6], \"mapper\": \"hilbert\"}",
+          "{\"ranks\": [7], \"filter\": 0.05}",
+          "{\"ranks\": [9], \"interval_stride\": 2}"};
+}
+
+/// Every body answered one at a time by a fresh service: the reference a
+/// concurrent run must reproduce byte for byte.
+std::vector<std::string> serial_reference(
+    const std::vector<std::string>& bodies) {
+  PredictionService service(tiny_service_config());
+  std::vector<std::string> out;
+  for (const std::string& body : bodies) {
+    const HttpResponse response = service.handle(post("/v1/workload", body));
+    EXPECT_EQ(response.status, 200) << body << " -> " << response.body;
+    out.push_back(response.body);
+  }
+  return out;
+}
+
+/// Each body on its own thread against one service, released together.
+std::vector<HttpResponse> handle_concurrently(
+    PredictionService& service, const std::vector<std::string>& bodies) {
+  std::vector<HttpResponse> responses(bodies.size());
+  std::latch start(static_cast<std::ptrdiff_t>(bodies.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < bodies.size(); ++i)
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      responses[i] = service.handle(post("/v1/workload", bodies[i]));
+    });
+  for (std::thread& thread : threads) thread.join();
+  return responses;
+}
+
+/// A sealed trace whose header matches every other trace written with the
+/// same shape; only the positions, drawn from `seed`, differ.
+std::string same_header_trace(const std::string& name, std::uint64_t seed) {
+  const std::string path = testing::TempDir() + "/" + name + "_" +
+                           std::to_string(::getpid()) + ".trace";
+  TraceWriter writer(path, 600, 50, Aabb(Vec3(0, 0, 0), Vec3(1, 1, 2)));
+  Xoshiro256 rng(seed);
+  std::vector<Vec3> positions(600);
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    for (Vec3& p : positions)
+      p = Vec3(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2));
+    writer.append(s * 50, positions);
+  }
+  writer.close();
+  return path;
 }
 
 class ServeDegradedTest : public testing::Test {
@@ -302,6 +364,117 @@ TEST_F(ServeDegradedTest, ModelsThePredictorWouldMisreadFailAtBoot) {
   write_models("interp | np | linear 0 1e-8");
   EXPECT_THROW(PredictionService service(config), Error);
   std::remove(path.c_str());
+}
+
+TEST_F(ServeDegradedTest, ConcurrentColdGenerationsMatchASerialRun) {
+  const std::vector<std::string> bodies = distinct_bodies();
+  const std::vector<std::string> reference = serial_reference(bodies);
+  PredictionService service(tiny_service_config());
+  const std::vector<HttpResponse> responses =
+      handle_concurrently(service, bodies);
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    ASSERT_EQ(responses[i].status, 200) << bodies[i];
+    EXPECT_EQ(*responses[i].header("x-picp-cache"), "miss") << bodies[i];
+    EXPECT_EQ(responses[i].body, reference[i]) << bodies[i];
+  }
+}
+
+TEST_F(ServeDegradedTest, TraceReadErrorFailsOnlyItsOwnGeneration) {
+  const std::vector<std::string> bodies = distinct_bodies();
+  const std::vector<std::string> reference = serial_reference(bodies);
+  PredictionService service(tiny_service_config());  // allow_stale = false
+  failpoint::arm("trace.read=error:after2:times1");
+  const std::vector<HttpResponse> responses =
+      handle_concurrently(service, bodies);
+  failpoint::disarm_all();
+
+  std::size_t failed = bodies.size();
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    if (responses[i].status == 500) {
+      EXPECT_EQ(failed, bodies.size()) << "a second 500: " << bodies[i];
+      failed = i;
+      continue;
+    }
+    ASSERT_EQ(responses[i].status, 200) << bodies[i];
+    EXPECT_EQ(responses[i].body, reference[i]) << bodies[i];
+  }
+  ASSERT_LT(failed, bodies.size()) << "the armed trace.read never fired";
+  const HttpResponse healed =
+      service.handle(post("/v1/workload", bodies[failed]));
+  EXPECT_EQ(healed.status, 200);
+  EXPECT_EQ(healed.body, reference[failed]);
+}
+
+TEST_F(ServeDegradedTest, SharedCacheDirNeverReplaysAnotherTracesBody) {
+  // Two sealed traces with byte-identical headers: only their frames, and
+  // so their footer digests, differ.
+  const std::string trace_a = same_header_trace("picp_serve_same_a", 1);
+  const std::string trace_b = same_header_trace("picp_serve_same_b", 2);
+  const std::string spill = testing::TempDir() + "/picp_serve_shared_spill_" +
+                            std::to_string(::getpid());
+  std::filesystem::remove_all(spill);
+
+  ServiceConfig config = tiny_service_config();
+  config.cache_dir = spill;
+  config.trace_path = trace_a;
+  std::string body_a;
+  {
+    PredictionService a(config);
+    const HttpResponse first = a.handle(post("/v1/workload", "{\"ranks\": 7}"));
+    ASSERT_EQ(first.status, 200);
+    body_a = first.body;
+    // The capacity-1 response tier spills ranks=7 to the shared dir.
+    ASSERT_EQ(a.handle(post("/v1/workload", "{\"ranks\": 3}")).status, 200);
+  }
+
+  ServiceConfig fresh = tiny_service_config();
+  fresh.trace_path = trace_b;
+  PredictionService reference(fresh);
+  const std::string body_b =
+      reference.handle(post("/v1/workload", "{\"ranks\": 7}")).body;
+  ASSERT_NE(body_a, body_b) << "the two traces must give different answers";
+
+  config.trace_path = trace_b;
+  PredictionService b(config);
+  const HttpResponse answer = b.handle(post("/v1/workload", "{\"ranks\": 7}"));
+  ASSERT_EQ(answer.status, 200);
+  EXPECT_EQ(*answer.header("x-picp-cache"), "miss");
+  EXPECT_EQ(answer.body, body_b);
+  std::filesystem::remove_all(spill);
+  std::remove(trace_a.c_str());
+  std::remove(trace_b.c_str());
+}
+
+TEST_F(ServeDegradedTest, SharedCacheDirNeverReplaysAnotherModelSetsBody) {
+  // One models path, rewritten between two daemons: the key follows the
+  // file's content, not its name.
+  const std::string models = testing::TempDir() + "/picp_serve_rewritten_" +
+                             std::to_string(::getpid()) + ".txt";
+  const std::string spill = testing::TempDir() + "/picp_serve_models_spill_" +
+                            std::to_string(::getpid());
+  std::filesystem::remove_all(spill);
+  ServiceConfig config = tiny_service_config();
+  config.cache_dir = spill;
+  config.models_path = models;
+
+  std::ofstream(models) << "project | np,ngp,filter | linear 0 1e-8 0 0\n";
+  std::string body_a;
+  {
+    PredictionService a(config);
+    const HttpResponse first = a.handle(post("/v1/predict", "{\"ranks\": 7}"));
+    ASSERT_EQ(first.status, 200) << first.body;
+    body_a = first.body;
+    ASSERT_EQ(a.handle(post("/v1/predict", "{\"ranks\": 3}")).status, 200);
+  }
+
+  std::ofstream(models) << "project | np,ngp,filter | linear 0 5e-8 0 0\n";
+  PredictionService b(config);
+  const HttpResponse answer = b.handle(post("/v1/predict", "{\"ranks\": 7}"));
+  ASSERT_EQ(answer.status, 200) << answer.body;
+  EXPECT_EQ(*answer.header("x-picp-cache"), "miss");
+  EXPECT_NE(answer.body, body_a);
+  std::filesystem::remove_all(spill);
+  std::remove(models.c_str());
 }
 
 }  // namespace

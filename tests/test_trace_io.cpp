@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <thread>
 
 #include "trace/trace_reader.hpp"
+#include "trace/trace_salvage.hpp"
 #include "trace/trace_writer.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -205,6 +209,108 @@ TEST(TraceIo, ReadFullTraceHelper) {
   const auto samples = read_full_trace(path);
   ASSERT_EQ(samples.size(), 3u);
   EXPECT_EQ(samples[2].iteration, 4u);
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, CopiesReadIndependentlyOnTheirOwnThreads) {
+  const std::string path = testing::TempDir() + "/picp_trace_cursors.bin";
+  constexpr std::size_t kSamples = 12;
+  {
+    TraceWriter writer(path, 40, 5, Aabb(Vec3(0, 0, 0), Vec3(1, 1, 2)));
+    for (std::uint64_t s = 0; s < kSamples; ++s)
+      writer.append(s * 5, random_positions(40, s + 11));
+  }
+  const std::vector<TraceSample> expected = read_full_trace(path);
+  ASSERT_EQ(expected.size(), kSamples);
+
+  // Copy k is taken after the original has read k samples, so the copies
+  // start at k = 0..K-1 and share one opened file.
+  constexpr std::size_t kCopies = 6;
+  TraceReader original(path);
+  std::vector<TraceReader> copies;
+  TraceSample skipped;
+  for (std::size_t k = 0; k < kCopies; ++k) {
+    copies.push_back(original);
+    ASSERT_TRUE(original.read_next(skipped));
+  }
+
+  std::vector<std::vector<TraceSample>> read(kCopies);
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < kCopies; ++k)
+    threads.emplace_back([&copies, &read, k] {
+      TraceSample sample;
+      while (copies[k].read_next(sample)) read[k].push_back(sample);
+    });
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t k = 0; k < kCopies; ++k) {
+    ASSERT_EQ(read[k].size(), kSamples - k) << "copy " << k;
+    for (std::size_t s = 0; s < read[k].size(); ++s) {
+      EXPECT_EQ(read[k][s].iteration, expected[k + s].iteration);
+      EXPECT_EQ(read[k][s].positions, expected[k + s].positions);
+    }
+  }
+  // The original's cursor moved on without any copy's reads disturbing it.
+  EXPECT_EQ(original.cursor(), kCopies);
+  ASSERT_TRUE(original.read_next(skipped));
+  EXPECT_EQ(skipped.iteration, expected[kCopies].iteration);
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, SwappedFramesFailTheWholeFileDigest) {
+  const std::string path = testing::TempDir() + "/picp_trace_swapped.bin";
+  constexpr std::uint64_t kSamples = 4;
+  std::uint64_t frame = 0;
+  {
+    TraceWriter writer(path, 16, 1, Aabb(Vec3(0, 0, 0), Vec3(1, 1, 1)));
+    for (std::uint64_t s = 0; s < kSamples; ++s)
+      writer.append(s, random_positions(16, s + 1));
+    writer.close();
+    frame = TraceReader(path).header().frame_bytes();
+  }
+  // Swap frames 1 and 2. Each frame keeps its own valid CRC, so only the
+  // footer's digest over the sequence of frame CRCs can tell.
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const std::size_t header = TraceHeader::header_bytes_for(2);
+  std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(header + frame),
+                   bytes.begin() +
+                       static_cast<std::ptrdiff_t>(header + 2 * frame),
+                   bytes.begin() +
+                       static_cast<std::ptrdiff_t>(header + 2 * frame));
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+
+  const auto expect_digest_failure_at_last_sample = [](TraceReader& reader) {
+    TraceSample sample;
+    while (reader.cursor() + 1 < kSamples)
+      ASSERT_TRUE(reader.read_next(sample));
+    try {
+      reader.read_next(sample);
+      ADD_FAILURE() << "the last sample passed the whole-file digest";
+    } catch (const TraceCorruptError& e) {
+      EXPECT_NE(std::string(e.what()).find("whole-file digest mismatch"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  TraceReader strict(path);
+  TraceSample sample;
+  ASSERT_TRUE(strict.read_next(sample));
+  ASSERT_TRUE(strict.read_next(sample));
+  TraceReader copy = strict;  // mid-read: carries the digest so far
+  expect_digest_failure_at_last_sample(strict);
+  expect_digest_failure_at_last_sample(copy);
+
+  const SalvageReport report = scan_trace(path);
+  EXPECT_TRUE(report.sealed);
+  EXPECT_FALSE(report.digest_ok);
+  EXPECT_FALSE(report.intact());
+  EXPECT_EQ(report.detail, "whole-file digest mismatch");
   std::remove(path.c_str());
 }
 

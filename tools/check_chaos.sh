@@ -13,6 +13,9 @@
 #     timeout, the shed 503 carries Retry-After, `picpredict query` exits 3
 #     when the retry budget dies on 503s and 0 once the slot frees;
 #   * an expired X-Picp-Deadline-Ms budget is a 504 with stage telemetry;
+#   * a trace.read error storm over concurrent cold generations fails only
+#     the generations it hits: every other config answers 200, /healthz
+#     stays 200, and the failed configs answer 200 once disarmed;
 #   * a crash injected mid-spill (atomicfile.commit=crash) leaves only an
 #     uncommitted temp file, which the restarted daemon quarantines — and
 #     the recomputed response replays byte-identical to the pre-crash one.
@@ -210,6 +213,44 @@ disarm_all "$PORT"
 # the same sum they read, or they could pass on a renamed metric.
 [[ $(red_5xx metrics_deadline.txt) -ge 1 ]] \
     || fail "the deadline storm's 504 is missing from the RED 5xx counts"
+
+echo "== storm: trace.read errors fail only their own cold generations =="
+"$PICPREDICT" query /metricsz --port "$PORT" > metrics_pre_read.txt
+RED_5XX_BEFORE=$(red_5xx metrics_pre_read.txt)
+arm "$PORT" "trace.read=error:after3:times2"
+# Eight configs no earlier step asked for: eight cold generations, each
+# streaming the trace through its own cursor. The two injected errors land
+# in two different generations, because a failed generation reads no more.
+READ_RANKS="16 17 18 19 20 21 22 23"
+READ_PIDS=()
+for r in $READ_RANKS; do
+    "$PICPREDICT" query /v1/workload --port "$PORT" \
+        --body "{\"ranks\": [$r]}" --retries 0 > "read_$r.txt" 2>&1 &
+    READ_PIDS+=($!)
+done
+for pid in "${READ_PIDS[@]}"; do wait "$pid" || true; done
+READ_OK=0
+READ_5XX=0
+for r in $READ_RANKS; do
+    case "$(head -1 "read_$r.txt" | cut -d' ' -f1)" in
+        200) READ_OK=$((READ_OK + 1)) ;;
+        500) READ_5XX=$((READ_5XX + 1)) ;;
+        *) fail "trace.read storm: ranks=$r answered: $(head -1 "read_$r.txt")" ;;
+    esac
+done
+[[ $READ_OK -eq 6 && $READ_5XX -eq 2 ]] \
+    || fail "trace.read storm: want 6x200 + 2x500, got ${READ_OK}x200 + ${READ_5XX}x500"
+"$PICPREDICT" query /metricsz --port "$PORT" > metrics_read.txt
+[[ $(red_5xx metrics_read.txt) -eq $((RED_5XX_BEFORE + 2)) ]] \
+    || fail "trace.read storm: RED 5xx sum $(red_5xx metrics_read.txt), want $((RED_5XX_BEFORE + 2))"
+"$PICPREDICT" query /healthz --port "$PORT" > healthz_read.txt
+grep -q '^200 OK' healthz_read.txt || fail "/healthz not 200 after the trace.read storm"
+disarm_all "$PORT"
+for r in $READ_RANKS; do
+    "$PICPREDICT" query /v1/workload --port "$PORT" \
+        --body "{\"ranks\": [$r]}" --retries 0 --quiet \
+        || fail "ranks=$r still failing after the trace.read storm"
+done
 
 echo "== recovery: storms over, service replays byte-identically =="
 "$PICPREDICT" query /metricsz --port "$PORT" > metrics_armedcheck.txt

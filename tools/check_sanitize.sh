@@ -4,8 +4,9 @@
 # second tree. Use after touching I/O, framing, or checksum code — the
 # corruption-sweep tests exercise every byte-level parse path, and this is
 # the CI job that proves none of them read out of bounds or hit UB. The
-# TSan pass covers the one place the codebase hands data between threads
-# on a hot path: reactor <-> worker-pool completion traffic.
+# TSan pass covers the places the codebase hands data between threads on
+# a hot path: reactor <-> worker-pool completion traffic, and cold
+# generations that read one opened trace through their own cursors.
 #
 #   tools/check_sanitize.sh [sanitizer] [build-dir] [tsan-build-dir]
 #
@@ -43,15 +44,17 @@ echo "sanitizer suite (${SANITIZE}) passed"
 # ThreadSanitizer pass over the concurrent serving stack. Scoped to the
 # suites that actually cross threads — the reactor's pool dispatch and
 # completion queue, the HTTP server end-to-end, the thread pool itself,
-# the artifact cache's single-flight, and the observability layer (trace
+# the artifact cache's single-flight, the observability layer (trace
 # stages ride worker threads; the access log is reactor-written but
-# mutex-guarded for embedders) — because a full-suite TSan run costs 10x+
-# and everything else is single-threaded by construction.
+# mutex-guarded for embedders), and trace cursors plus the service's
+# lock-free concurrent generations (TraceIo, ServeDegraded, PipelineSplit)
+# — because a full-suite TSan run costs 10x+ and everything else is
+# single-threaded by construction.
 if [ "$TSAN_BUILD_DIR" != "none" ]; then
   cmake -B "$TSAN_BUILD_DIR" -S "$SRC_DIR" -DPICP_SANITIZE=thread
   cmake --build "$TSAN_BUILD_DIR" -j --target picp_tests
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$TSAN_BUILD_DIR/tests/picp_tests" \
-    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*'
+    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*:TraceIo*:ServeDegraded*:PipelineSplit*'
   echo "thread-sanitizer reactor suite passed"
 fi
