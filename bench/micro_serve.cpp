@@ -330,7 +330,10 @@ int main(int argc, char** argv) {
   const std::string models_path = work + "/bench.models";
   models.save(models_path);
 
-  telemetry::SessionOptions session;  // in-memory only: bench, no manifest
+  // A directory arms span buffering, so sampled requests still emit their
+  // spans; the bench never finalizes, so nothing is written there.
+  telemetry::SessionOptions session;
+  session.directory = work + "/telemetry";
   telemetry::configure(session);
 
   serve::ServiceConfig service_config;

@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -42,7 +44,13 @@ void BM_HistogramObserve(benchmark::State& state) {
 BENCHMARK(BM_HistogramObserve);
 
 void BM_ScopedSpanEnabled(benchmark::State& state) {
-  telemetry::configure(session(true));
+  // A session with a directory: each span adds to its phase and is
+  // buffered for the trace (never written here: no finalize).
+  telemetry::SessionOptions traced = session(true);
+  traced.directory =
+      (std::filesystem::temp_directory_path() / "picp_micro_telemetry")
+          .string();
+  telemetry::configure(traced);
   telemetry::Phase& phase = telemetry::phase("bench.span");
   for (auto _ : state) {
     const telemetry::ScopedSpan span("bench.span", phase, "bench");
@@ -50,6 +58,7 @@ void BM_ScopedSpanEnabled(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
   telemetry::configure(session(false));
+  std::filesystem::remove_all(traced.directory);
 }
 BENCHMARK(BM_ScopedSpanEnabled);
 

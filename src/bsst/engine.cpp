@@ -30,7 +30,6 @@ void Engine::schedule(ComponentId src, ComponentId dst, SimTime delay,
 }
 
 std::uint64_t Engine::run(std::uint64_t max_events) {
-  const telemetry::ScopedSpan span("des.run", "bsst");
   std::uint64_t processed = 0;
   while (!queue_.empty() && processed < max_events) {
     const Event event = queue_.pop();

@@ -4,6 +4,7 @@
 #include <span>
 
 #include "bsst/engine.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
 namespace picp {
@@ -182,6 +183,7 @@ class BarrierComponent final : public Component {
 }  // namespace
 
 SimReport run_trace_simulation(const TraceSimInput& input) {
+  const telemetry::ScopedSpan span("des.run", "pipeline");
   PICP_REQUIRE(input.num_ranks > 0, "need at least one rank");
   PICP_REQUIRE(input.num_intervals > 0, "need at least one interval");
   PICP_REQUIRE(input.compute_seconds.size() ==

@@ -16,10 +16,16 @@ PredictionPipeline::PredictionPipeline(const SpectralMesh& mesh,
 WorkloadResult PredictionPipeline::generate_workload(
     TraceReader& trace, const PredictionConfig& config) const {
   config.deadline.check("generate.partition");
-  const MeshPartition partition = rcb_partition(*mesh_, config.num_ranks);
+  const MeshPartition partition = [&] {
+    const telemetry::ScopedSpan span("mesh.partition", "pipeline");
+    return rcb_partition(*mesh_, config.num_ranks);
+  }();
   config.deadline.check("generate.mapper");
-  const auto mapper = make_mapper(config.mapper_kind, *mesh_, partition,
-                                  config.filter_size);
+  const auto mapper = [&] {
+    const telemetry::ScopedSpan span("mapping.map", "pipeline");
+    return make_mapper(config.mapper_kind, *mesh_, partition,
+                       config.filter_size);
+  }();
   WorkloadParams params;
   params.ghost_radius = config.filter_size;
   params.compute_ghosts = config.compute_ghosts;
@@ -47,11 +53,10 @@ SimReport PredictionPipeline::simulate_workload(
   config.deadline.check("simulate.des");
   TraceSimInput input;
   {
-    const telemetry::ScopedSpan span("predict.model", "predict");
+    const telemetry::ScopedSpan span("model.eval", "pipeline");
     const Predictor predictor(models_, config.filter_size);
     input = predictor.sim_input(workload, config.network);
   }
-  const telemetry::ScopedSpan span("predict.des", "predict");
   return run_trace_simulation(input);
 }
 
@@ -60,10 +65,7 @@ PredictionOutcome PredictionPipeline::predict(
   PredictionOutcome outcome;
 
   Stopwatch watch;
-  {
-    const telemetry::ScopedSpan span("predict.workload_gen", "predict");
-    outcome.workload = generate_workload(trace, config);
-  }
+  outcome.workload = generate_workload(trace, config);
   outcome.workload_gen_seconds = watch.seconds();
 
   watch.reset();

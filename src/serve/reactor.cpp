@@ -75,6 +75,18 @@ const char* route_of(const std::string& path) {
   return "other";
 }
 
+/// Copy what the service states in reply headers into the trace the
+/// access log reads: the cache tier and the stage a 504 died in. A member
+/// reads its own copy, so a member of a stale leader logs "stale".
+void note_reply(RequestTrace& trace, const HttpResponse& response) {
+  if (response.header("x-picp-degraded") != nullptr)
+    trace.cache_tier = "stale";
+  else if (const std::string* tier = response.header("x-picp-cache"))
+    trace.cache_tier = *tier == "hit" ? "hit" : "miss";
+  if (const std::string* stage = response.header("x-picp-deadline-stage"))
+    trace.deadline_stage = *stage;
+}
+
 const char* status_class_of(int status) {
   if (status >= 500) return "5xx";
   if (status >= 400) return "4xx";
@@ -580,9 +592,6 @@ std::shared_ptr<RequestTrace> EpollReactor::make_trace(
   trace->arrived_us = trace->now_us();
   trace->dispatch_us = trace->arrived_us;
   trace->handler_start_us = trace->arrived_us;
-  trace->armed = options_.observer != nullptr ||
-                 (telemetry::enabled() && (options_.trace_sample_n > 0 ||
-                                           options_.slow_request_ms > 0));
   return trace;
 }
 
@@ -629,7 +638,8 @@ void EpollReactor::finalize_trace(RequestTrace& trace, int status) {
     const bool slow =
         options_.slow_request_ms > 0 &&
         trace.total_us >= static_cast<double>(options_.slow_request_ms) * 1e3;
-    if (sampled || slow) trace.emit_spans(telemetry::tracer());
+    if ((sampled || slow) && telemetry::tracing())
+      trace.emit_spans(telemetry::tracer());
   }
   if (options_.observer) options_.observer(trace);
 }
@@ -649,7 +659,7 @@ HttpResponse EpollReactor::run_traced(const HttpRequest& request,
   if (trace == nullptr) return run_handler(request);
   trace->handler_start_us = trace->now_us();
   trace->queue_wait_us = trace->handler_start_us - trace->dispatch_us;
-  const RequestTrace::Scope scope(trace);
+  const telemetry::StageLog::Scope scope(trace);
   HttpResponse response = run_handler(request);
   trace->handler_us = trace->now_us() - trace->handler_start_us;
   return response;
@@ -724,14 +734,12 @@ void EpollReactor::answer_member(Member& member, HttpResponse response) {
   RequestTrace& trace = *member.trace;
   trace.role = "member";
   trace.batch_wait_us = trace.now_us() - trace.arrived_us;
-  if (response.header("x-picp-cache") != nullptr) trace.cache_tier = "hit";
-  if (const std::string* stage = response.header("x-picp-deadline-stage"))
-    trace.deadline_stage = *stage;
   answer(member, std::move(response));
 }
 
 void EpollReactor::answer(const Member& member, HttpResponse response) {
   RequestTrace& trace = *member.trace;
+  note_reply(trace, response);
   Conn* conn = conn_by_id(member.conn_id);
   if (conn == nullptr) {
     // The member hung up before the answer — its record still closes.

@@ -67,13 +67,14 @@ struct ReactorOptions {
   /// Content key of a request: requests with equal non-empty keys share
   /// one handler execution while it is in flight. Unset or "" = solo.
   std::function<std::string(const HttpRequest&)> coalesce_key;
-  /// Emit Chrome-trace spans for every Nth finished request (0 = never).
+  /// Emit Chrome-trace spans for every Nth finished request (0 = never),
+  /// in a telemetry session that writes spans (telemetry::tracing()).
   std::uint64_t trace_sample_n = 0;
-  /// Always emit spans for requests slower than this (0 = never).
+  /// Always emit spans for requests slower than this (0 = never), in the
+  /// same sessions.
   int slow_request_ms = 0;
   /// Called on the reactor thread for every finished request — the access
-  /// log hook (and the deterministic observability tests). Setting it
-  /// arms per-stage recording on every request.
+  /// log hook (and the deterministic observability tests).
   std::function<void(const RequestTrace&)> observer;
   HttpLimits limits;
 };
@@ -199,7 +200,7 @@ class EpollReactor {
                   std::string peer);
   HttpResponse run_handler(const HttpRequest& request);
   /// Wrap run_handler with the trace timeline (queue wait, handler wall
-  /// time, status) and the thread-local annotation scope.
+  /// time) and make the trace the thread's current StageLog.
   HttpResponse run_traced(const HttpRequest& request, RequestTrace* trace);
   /// One RequestTrace for a freshly parsed request (id from the inbound
   /// header or generated, arrival stamped on the reactor clock).

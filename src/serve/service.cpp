@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "mapping/mapper.hpp"
-#include "serve/request_trace.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/prometheus.hpp"
 #include "telemetry/telemetry.hpp"
@@ -267,10 +266,9 @@ std::shared_ptr<const WorkloadResult> PredictionService::workload_for(
       workload_fingerprint(config),
       [this, &config] {
         failpoint::inject("serve.generate");
-        // The span exists only on actual generation — its absence on a
+        // The stage exists only on actual generation — its absence on a
         // repeat query is the observable proof of a cache hit.
-        const telemetry::ScopedSpan span("serve.workload_gen", "serve");
-        const RequestTrace::Stage stage("generate");
+        const telemetry::ScopedSpan stage("generate", "serve");
         if (telemetry::enabled())
           telemetry::registry().counter("serve.workload.generations").add();
         TraceReader cursor = trace_;
@@ -412,7 +410,7 @@ std::string PredictionService::handle_predict(const std::string& body,
   // "cache" covers the lookup; the nested generate/simulate/render stages
   // subtract themselves out, so a hit shows pure cache time and a miss
   // shows only the cache machinery.
-  const RequestTrace::Stage cache_stage("cache");
+  const telemetry::ScopedSpan cache_stage("cache", "serve");
   auto rendered = response_cache_.get_or_compute(
       response_key(/*predict=*/true, configs),
       [this, &configs] {
@@ -421,10 +419,10 @@ std::string PredictionService::handle_predict(const std::string& body,
           const auto workload = workload_for(config);
           SimReport sim;
           {
-            const RequestTrace::Stage stage("simulate");
+            const telemetry::ScopedSpan stage("simulate", "serve");
             sim = pipeline_->simulate_workload(*workload, config);
           }
-          const RequestTrace::Stage stage("render");
+          const telemetry::ScopedSpan stage("render", "serve");
           Json row = Json::object();
           row.set("ranks", Json(static_cast<std::int64_t>(config.num_ranks)));
           row.set("mapper", Json(config.mapper_kind));
@@ -436,7 +434,7 @@ std::string PredictionService::handle_predict(const std::string& body,
                   Json(static_cast<std::uint64_t>(workload->num_intervals())));
           results.push_back(std::move(row));
         }
-        const RequestTrace::Stage stage("render");
+        const telemetry::ScopedSpan stage("render", "serve");
         Json reply = Json::object();
         reply.set("results", std::move(results));
         return json_line(reply);
@@ -457,14 +455,14 @@ std::string PredictionService::handle_workload(const std::string& body,
   std::vector<PredictionConfig> configs = parse_request(body);
   for (PredictionConfig& config : configs) config.deadline = deadline;
 
-  const RequestTrace::Stage cache_stage("cache");
+  const telemetry::ScopedSpan cache_stage("cache", "serve");
   auto rendered = response_cache_.get_or_compute(
       response_key(/*predict=*/false, configs),
       [this, &configs] {
         Json results = Json::array();
         for (const PredictionConfig& config : configs) {
           const auto workload = workload_for(config);
-          const RequestTrace::Stage stage("render");
+          const telemetry::ScopedSpan stage("render", "serve");
           const UtilizationStats stats = utilization(workload->comp_real);
           Json row = Json::object();
           row.set("ranks", Json(static_cast<std::int64_t>(config.num_ranks)));
@@ -550,7 +548,6 @@ HttpResponse PredictionService::handle(const HttpRequest& request) {
     response.status = 504;
     response.set_header("X-Picp-Deadline-Stage", e.stage());
     response.body = error_body(504, e.what());
-    RequestTrace::note_deadline_stage(e.stage());
     if (telemetry::enabled()) {
       auto& reg = telemetry::registry();
       reg.counter("serve.deadline_exceeded").add();
@@ -586,7 +583,6 @@ HttpResponse PredictionService::handle_routed(const HttpRequest& request,
       response.body = error_body(405, "use GET for " + path);
       return response;
     }
-    const telemetry::ScopedSpan span("serve.introspect", "serve");
     if (path == "/healthz") {
       if (query_param(request.target, "ready") == "1") {
         std::string reason;
@@ -624,18 +620,11 @@ HttpResponse PredictionService::handle_routed(const HttpRequest& request,
     }
     bool from_cache = false;
     bool degraded = false;
-    if (path == "/v1/predict") {
-      const telemetry::ScopedSpan span("serve.predict", "serve");
-      response.body =
-          handle_predict(request.body, &from_cache, deadline, &degraded);
-    } else {
-      const telemetry::ScopedSpan span("serve.workload", "serve");
-      response.body =
-          handle_workload(request.body, &from_cache, deadline, &degraded);
-    }
+    response.body =
+        path == "/v1/predict"
+            ? handle_predict(request.body, &from_cache, deadline, &degraded)
+            : handle_workload(request.body, &from_cache, deadline, &degraded);
     response.set_header("X-Picp-Cache", from_cache ? "hit" : "miss");
-    RequestTrace::note_cache(degraded ? "stale"
-                                      : (from_cache ? "hit" : "miss"));
     if (degraded) {
       response.set_header("X-Picp-Degraded", "stale");
       if (telemetry::enabled())

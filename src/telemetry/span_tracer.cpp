@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 
 #include "telemetry/json.hpp"
@@ -15,9 +16,12 @@ namespace {
 /// One thread-local registration per (thread, tracer). A thread that
 /// outlives a tracer (there is one process-wide tracer in practice) simply
 /// re-registers if a different tracer instance appears — tests construct
-/// their own tracers.
+/// their own tracers. Tracers are told apart by a process-unique id, not
+/// by address: a tracer built where a destroyed one lived must not adopt
+/// the buffer it never registered.
 thread_local std::shared_ptr<void> t_buffer;   // type-erased ThreadBuffer
-thread_local const void* t_owner = nullptr;
+thread_local std::uint64_t t_owner = 0;
+std::atomic<std::uint64_t> g_next_tracer_id{1};
 
 /// Fixed-point microseconds with the precision Perfetto keys on; avoids
 /// %.17g noise in the emitted file.
@@ -29,7 +33,9 @@ std::string format_us(double us) {
 
 }  // namespace
 
-SpanTracer::SpanTracer() : epoch_(std::chrono::steady_clock::now()) {}
+SpanTracer::SpanTracer()
+    : epoch_(std::chrono::steady_clock::now()),
+      id_(g_next_tracer_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 double SpanTracer::now_us() const {
   return std::chrono::duration<double, std::micro>(
@@ -38,7 +44,7 @@ double SpanTracer::now_us() const {
 }
 
 SpanTracer::ThreadBuffer& SpanTracer::local_buffer() {
-  if (t_owner != this || t_buffer == nullptr) {
+  if (t_owner != id_ || t_buffer == nullptr) {
     auto buffer = std::make_shared<ThreadBuffer>();
     {
       std::lock_guard<std::mutex> lock(buffers_mutex_);
@@ -46,7 +52,7 @@ SpanTracer::ThreadBuffer& SpanTracer::local_buffer() {
       buffers_.push_back(buffer);
     }
     t_buffer = buffer;
-    t_owner = this;
+    t_owner = id_;
   }
   return *static_cast<ThreadBuffer*>(t_buffer.get());
 }

@@ -80,6 +80,7 @@ class SpanTracer {
   ThreadBuffer& local_buffer();
 
   std::chrono::steady_clock::time_point epoch_;
+  const std::uint64_t id_;  // process-unique; keys the thread buffers
   mutable std::mutex buffers_mutex_;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
   int next_tid_ = 0;

@@ -16,6 +16,7 @@ namespace picp::telemetry {
 
 namespace detail {
 std::atomic<bool> g_enabled{false};
+std::atomic<bool> g_tracing{false};
 }
 
 namespace {
@@ -104,16 +105,39 @@ std::vector<PhaseTotal> phase_totals() {
   return totals;
 }
 
+StageLog::StageLog(Clock clock) : clock_(std::move(clock)) {
+  if (!clock_) clock_ = [] { return std::chrono::steady_clock::now(); };
+}
+
+double StageLog::now_us() const {
+  return std::chrono::duration<double, std::micro>(
+             clock_().time_since_epoch())
+      .count();
+}
+
 void ScopedSpan::start() {
-  start_us_ = tracer().now_us();
-  cpu_start_ = thread_cpu_seconds();
+  if (log_ != nullptr) {
+    start_us_ = log_->now_us();
+    parent_ = log_->open_;
+    log_->open_ = this;
+  } else {
+    start_us_ = tracer().now_us();
+  }
+  if (phase_ != nullptr) cpu_start_ = thread_cpu_seconds();
 }
 
 void ScopedSpan::finish() {
-  const double end_us = tracer().now_us();
-  const double cpu = thread_cpu_seconds() - cpu_start_;
-  tracer().record(name_, category_, start_us_, end_us - start_us_);
-  phase_->add((end_us - start_us_) * 1e-6, cpu);
+  const double end_us = log_ != nullptr ? log_->now_us() : tracer().now_us();
+  const double elapsed_us = end_us - start_us_;
+  if (phase_ != nullptr)
+    phase_->add(elapsed_us * 1e-6, thread_cpu_seconds() - cpu_start_);
+  if (log_ != nullptr) {
+    log_->open_ = parent_;
+    if (parent_ != nullptr) parent_->child_us_ += elapsed_us;
+    log_->stages_.push_back({name_, start_us_, elapsed_us - child_us_});
+  } else if (tracing()) {
+    tracer().record(name_, category_, start_us_, elapsed_us);
+  }
 }
 
 void configure(const SessionOptions& options) {
@@ -131,6 +155,8 @@ void configure(const SessionOptions& options) {
   if (on && !options.directory.empty())
     std::filesystem::create_directories(options.directory);
   detail::g_enabled.store(on, std::memory_order_relaxed);
+  detail::g_tracing.store(on && !options.directory.empty(),
+                          std::memory_order_relaxed);
   if (on) tracer().set_thread_name("main");
 }
 
@@ -244,6 +270,7 @@ void finalize() {
   }
   PICP_LOG_INFO << summary_line();
   detail::g_enabled.store(false, std::memory_order_relaxed);
+  detail::g_tracing.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace picp::telemetry

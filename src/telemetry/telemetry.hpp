@@ -1,7 +1,9 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,11 +31,22 @@ namespace picp::telemetry {
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
+extern std::atomic<bool> g_tracing;
 }
 
 inline bool enabled() {
 #if PICP_TELEMETRY_ENABLED
   return detail::g_enabled.load(std::memory_order_relaxed);
+#else
+  return false;
+#endif
+}
+
+/// True while the session buffers Chrome-trace spans: only a session with
+/// a directory, because finalize() writes them nowhere else.
+inline bool tracing() {
+#if PICP_TELEMETRY_ENABLED
+  return detail::g_tracing.load(std::memory_order_relaxed);
 #else
   return false;
 #endif
@@ -91,42 +104,97 @@ Phase& phase(const std::string& name);
 /// Every registered phase, sorted by name (zero-count phases included).
 std::vector<PhaseTotal> phase_totals();
 
-/// RAII span: measures wall + thread-CPU time of a scope, feeds the phase
-/// aggregate, and emits a thread-attributed Chrome-trace span. With
-/// telemetry disabled the constructor is one relaxed load and the
-/// destructor one predictable branch; nothing is allocated or clocked.
-/// `name` must be a string literal (it is stored, not copied).
+/// One exclusive-time stage of a StageLog: its own time, minus the time of
+/// the spans nested in it.
+struct StageTiming {
+  const char* name = "";
+  double start_us = 0.0;
+  double dur_us = 0.0;
+};
+
+class ScopedSpan;
+
+/// The exclusive-time stages of one unit of work (the daemon keeps one per
+/// request). While a log is current on a thread, every ScopedSpan that
+/// closes on that thread appends its stage, timed on the log's clock, so
+/// a log's stages sum to the time they cover without double counting.
+class StageLog {
+ public:
+  /// Injectable time source; empty = steady_clock. Protocol tests pass a
+  /// manually advanced clock so stage timings replay deterministically.
+  using Clock = std::function<std::chrono::steady_clock::time_point()>;
+
+  explicit StageLog(Clock clock = {});
+
+  /// Microseconds on the log's clock (steady epoch, comparisons only).
+  double now_us() const;
+  const std::vector<StageTiming>& stages() const { return stages_; }
+
+  /// The log current on the calling thread; nullptr outside a Scope.
+  static StageLog* current() { return current_; }
+
+  /// RAII: make `log` current for the calling thread.
+  class Scope {
+   public:
+    explicit Scope(StageLog* log) : previous_(current_) { current_ = log; }
+    ~Scope() { current_ = previous_; }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    StageLog* previous_;
+  };
+
+ private:
+  friend class ScopedSpan;
+  static constinit inline thread_local StageLog* current_ = nullptr;
+  Clock clock_;
+  std::vector<StageTiming> stages_;
+  ScopedSpan* open_ = nullptr;  // innermost open span on this log
+};
+
+/// RAII stage timer, the program's one way to time a stage. On close it
+/// adds wall and thread-CPU time to its phase total if telemetry is on,
+/// and appends its exclusive time to the thread's current StageLog if
+/// there is one. Only with no log current does it record a Chrome-trace
+/// span itself, and then only when the session writes spans (tracing());
+/// a log's stages reach the trace when its owner emits them. With
+/// telemetry off and no log current a span costs one relaxed load and one
+/// thread-local read; nothing is allocated or clocked. `name` must be a
+/// string literal (it is stored, not copied).
 class ScopedSpan {
  public:
   ScopedSpan(const char* name, Phase& phase_handle,
              const char* category = "picp")
-      : active_(enabled()), name_(name), category_(category),
-        phase_(&phase_handle) {
-    if (active_) start();
+      : name_(name), category_(category),
+        phase_(enabled() ? &phase_handle : nullptr),
+        log_(StageLog::current()) {
+    if (phase_ != nullptr || log_ != nullptr) start();
   }
   explicit ScopedSpan(const char* name, const char* category = "picp")
-      : active_(enabled()), name_(name), category_(category) {
-    if (active_) {
-      phase_ = &phase(name);
-      start();
-    }
+      : name_(name), category_(category),
+        phase_(enabled() ? &phase(name) : nullptr),
+        log_(StageLog::current()) {
+    if (phase_ != nullptr || log_ != nullptr) start();
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
   ~ScopedSpan() {
-    if (active_) finish();
+    if (phase_ != nullptr || log_ != nullptr) finish();
   }
 
  private:
   void start();
   void finish();
 
-  bool active_;
   const char* name_;
   const char* category_;
-  Phase* phase_ = nullptr;
+  Phase* phase_;
+  StageLog* log_;
+  ScopedSpan* parent_ = nullptr;  // enclosing open span on log_
   double start_us_ = 0.0;
   double cpu_start_ = 0.0;
+  double child_us_ = 0.0;  // time claimed by spans nested on log_
 };
 
 // --- Session lifecycle ------------------------------------------------------
@@ -135,14 +203,16 @@ struct SessionOptions {
   /// Master switch; `false` configures a disabled session (hot paths
   /// no-op). Also forced off when compiled with PICP_TELEMETRY=OFF.
   bool enabled = true;
-  /// Output directory for finalize(); empty = collect in memory only
-  /// (tests, library embedders that snapshot programmatically).
+  /// Output directory for finalize(); empty = metrics and phase totals
+  /// in memory only (the daemon without --telemetry-dir, tests), and no
+  /// span is buffered.
   std::string directory;
 };
 
 /// Start a telemetry session: zero all metric values, drop buffered spans,
-/// create the output directory, and flip the global enable flag. Safe to
-/// call repeatedly; cached Counter/Phase references stay valid.
+/// create the output directory, and flip the global enable flag (and the
+/// tracing flag, for a session with a directory). Safe to call
+/// repeatedly; cached Counter/Phase references stay valid.
 void configure(const SessionOptions& options);
 
 /// Identity of the run, stamped into the manifest by finalize().

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -34,7 +35,10 @@ std::size_t planned_intervals(std::size_t available,
 }  // namespace
 
 WorkloadResult WorkloadGenerator::generate(TraceReader& trace) {
-  trace.rewind();
+  {
+    const telemetry::ScopedSpan span("trace.read", "pipeline");
+    trace.rewind();
+  }
   const std::size_t total =
       planned_intervals(static_cast<std::size_t>(trace.num_samples()), params_);
   WorkloadResult result;
@@ -48,9 +52,13 @@ WorkloadResult WorkloadGenerator::generate(TraceReader& trace) {
   result.partitions_per_interval.reserve(total);
 
   TraceSample sample;
+  const auto read_next = [&trace, &sample] {
+    const telemetry::ScopedSpan span("trace.read", "pipeline");
+    return trace.read_next(sample);
+  };
   std::size_t seen = 0;
   std::size_t t = 0;
-  while (t < total && trace.read_next(sample)) {
+  while (t < total && read_next()) {
     if (seen++ % params_.interval_stride != 0) continue;
     params_.deadline.check("workload.interval");
     process_interval(t, sample.iteration, sample.positions, result);
@@ -88,20 +96,24 @@ void accumulate_interval_workload(
     std::span<const Rank> prev_owners, const WorkloadParams& params,
     std::size_t t, WorkloadResult& result) {
   PICP_REQUIRE(owners.size() == positions.size(), "owner array size");
+  {
+    const telemetry::ScopedSpan span("workload.account", "pipeline");
+    // Computation load: real particles per rank.
+    for (const Rank r : owners) result.comp_real.add(r, t, 1);
 
-  // Computation load: real particles per rank.
-  for (const Rank r : owners) result.comp_real.add(r, t, 1);
-
-  // Communication load: migration between consecutive intervals (a particle
-  // whose residing processor changed moves its data across ranks).
-  if (params.compute_comm && t > 0 && prev_owners.size() == owners.size()) {
-    for (std::size_t i = 0; i < owners.size(); ++i)
-      if (owners[i] != prev_owners[i])
-        result.comm_real.add(prev_owners[i], owners[i], t, 1);
+    // Communication load: migration between consecutive intervals (a
+    // particle whose residing processor changed moves its data across
+    // ranks).
+    if (params.compute_comm && t > 0 && prev_owners.size() == owners.size()) {
+      for (std::size_t i = 0; i < owners.size(); ++i)
+        if (owners[i] != prev_owners[i])
+          result.comm_real.add(prev_owners[i], owners[i], t, 1);
+    }
   }
 
   // Ghost particles: influence radius crossing grid-region boundaries.
   if (params.compute_ghosts) {
+    const telemetry::ScopedSpan span("workload.ghost", "pipeline");
     const GhostFinder finder(mesh, partition, params.ghost_radius);
     std::vector<Rank> ghost_ranks;
     for (std::size_t i = 0; i < positions.size(); ++i) {
@@ -119,7 +131,10 @@ void WorkloadGenerator::process_interval(std::size_t t,
                                          std::span<const Vec3> positions,
                                          WorkloadResult& result) {
   // Mimic the application's mapping algorithm on this interval's positions.
-  mapper_->map(positions, owners_);
+  {
+    const telemetry::ScopedSpan span("mapping.map", "pipeline");
+    mapper_->map(positions, owners_);
+  }
   PICP_ENSURE(owners_.size() == positions.size(), "mapper output size");
 
   result.iterations.push_back(iteration);
@@ -138,6 +153,7 @@ void WorkloadGenerator::process_interval(std::size_t t,
     accumulate_interval_workload(*mesh_, *partition_, positions, owners_,
                                  prev_owners_, serial, t, result);
     if (params_.compute_ghosts) {
+      const telemetry::ScopedSpan span("workload.ghost", "pipeline");
       const GhostFinder finder(*mesh_, *partition_, params_.ghost_radius);
       const std::size_t workers = pool_->size();
       struct Local {

@@ -183,7 +183,6 @@ class RequestTraceTest : public ::testing::Test {
  protected:
   RequestTrace make_trace() {
     RequestTrace trace([this] { return now_; });
-    trace.armed = true;
     return trace;
   }
   void advance_us(std::int64_t us) { now_ += std::chrono::microseconds(us); }
@@ -194,11 +193,11 @@ class RequestTraceTest : public ::testing::Test {
 TEST_F(RequestTraceTest, NestedStagesRecordExclusiveTime) {
   RequestTrace trace = make_trace();
   {
-    const RequestTrace::Scope scope(&trace);
-    const RequestTrace::Stage cache("cache");
+    const telemetry::StageLog::Scope scope(&trace);
+    const telemetry::ScopedSpan cache("cache");
     advance_us(5000);
     {
-      const RequestTrace::Stage generate("generate");
+      const telemetry::ScopedSpan generate("generate");
       advance_us(20000);
     }
     advance_us(2000);
@@ -212,22 +211,16 @@ TEST_F(RequestTraceTest, NestedStagesRecordExclusiveTime) {
   EXPECT_DOUBLE_EQ(trace.stages()[1].dur_us, 7000.0);
 }
 
-TEST_F(RequestTraceTest, StagesAreNoOpsWithoutAnArmedCurrentTrace) {
+TEST_F(RequestTraceTest, StagesLeaveEveryTraceAloneWithoutACurrentLog) {
   RequestTrace trace = make_trace();
-  trace.armed = false;
   {
-    const RequestTrace::Scope scope(&trace);
-    EXPECT_EQ(RequestTrace::current(), nullptr);
-    const RequestTrace::Stage stage("cache");
-    advance_us(5000);
+    const telemetry::StageLog::Scope scope(&trace);
   }
-  EXPECT_TRUE(trace.stages().empty());
-
+  EXPECT_EQ(telemetry::StageLog::current(), nullptr);
   {
-    // No scope at all: annotations must not crash.
-    const RequestTrace::Stage stage("generate");
-    RequestTrace::note_cache("hit");
-    RequestTrace::note_deadline_stage("simulate");
+    // No scope at all: the stage must not touch the trace.
+    const telemetry::ScopedSpan stage("generate");
+    advance_us(5000);
   }
   EXPECT_TRUE(trace.stages().empty());
 }
@@ -237,8 +230,8 @@ TEST_F(RequestTraceTest, EmitSpansCoversRequestWaitsAndStages) {
   trace.arrived_us = trace.now_us();
   trace.dispatch_us = trace.arrived_us;
   {
-    const RequestTrace::Scope scope(&trace);
-    const RequestTrace::Stage stage("simulate");
+    const telemetry::StageLog::Scope scope(&trace);
+    const telemetry::ScopedSpan stage("simulate");
     advance_us(4000);
   }
   trace.batch_wait_us = 0.0;
@@ -269,7 +262,6 @@ TEST_F(RequestTraceTest, EmitSpansCoversRequestWaitsAndStages) {
 
 RequestTrace traced_request(std::chrono::steady_clock::time_point* now) {
   RequestTrace trace([now] { return *now; });
-  trace.armed = true;
   trace.id = "p-feedfacefeedface";
   trace.method = "POST";
   trace.path = "/v1/predict";
@@ -289,14 +281,14 @@ TEST(AccessLog, LineCarriesTheFullSchema) {
   std::chrono::steady_clock::time_point now{};
   RequestTrace trace = traced_request(&now);
   {
-    const RequestTrace::Scope scope(&trace);
+    const telemetry::StageLog::Scope scope(&trace);
     {
-      const RequestTrace::Stage stage("generate");
+      const telemetry::ScopedSpan stage("generate");
       now += std::chrono::microseconds(1000);
     }
     {
       // A repeated stage accumulates into one key instead of clobbering.
-      const RequestTrace::Stage stage("generate");
+      const telemetry::ScopedSpan stage("generate");
       now += std::chrono::microseconds(500);
     }
   }

@@ -2,7 +2,8 @@
 // daemon calls generate_workload() / simulate_workload() separately with
 // cached artifacts, the CLI calls the monolithic predict(). These tests pin
 // the contract that both paths produce bit-identical numbers, so a cached
-// response can never drift from what a fresh CLI run would print.
+// response can never drift from what a fresh CLI run would print — down to
+// every field of the rows the daemon renders.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,9 @@
 #include "core/pipeline.hpp"
 #include "core/trainer.hpp"
 #include "picsim/sim_driver.hpp"
+#include "serve/service.hpp"
+#include "util/rng.hpp"
+#include "workload/workload_stats.hpp"
 
 namespace picp {
 namespace {
@@ -150,6 +154,104 @@ TEST(PipelineSplit, DifferentTargetsFromOneWorkloadStayIndependent) {
   EXPECT_GT(slow_net.total_seconds, fast_net.total_seconds);
   // Compute critical path has no network term, so it must not move.
   EXPECT_EQ(slow_net.critical_path_seconds, fast_net.critical_path_seconds);
+}
+
+/// The "results" rows of one daemon reply to `body` on `target`.
+std::vector<Json> daemon_rows(serve::PredictionService& service,
+                              const std::string& target,
+                              const std::string& body) {
+  serve::HttpRequest request;
+  request.method = "POST";
+  request.target = target;
+  request.body = body;
+  const serve::HttpResponse response = service.handle(request);
+  EXPECT_EQ(response.status, 200) << target << " " << body << " -> "
+                                  << response.body;
+  if (response.status != 200) return {};
+  return Json::parse(response.body).at("results").items();
+}
+
+TEST(PipelineSplit, DaemonRowsEqualThePipelinesFieldsExactly) {
+  // Seeded configs over the mappers, rank counts, filters and strides. The
+  // JSON writer prints round-trip doubles, so every field compares with ==.
+  SplitFixture f;
+  const std::string models_path = f.trace_path + ".models";
+  f.models.save(models_path);
+  serve::ServiceConfig config;
+  config.trace_path = f.trace_path;
+  config.models_path = models_path;
+  config.nelx = f.cfg.nelx;
+  config.nely = f.cfg.nely;
+  config.nelz = f.cfg.nelz;
+  config.points_per_dim = f.cfg.points_per_dim;
+  serve::PredictionService service(config);
+
+  TraceReader trace(f.trace_path);
+  const SpectralMesh mesh(trace.header().domain, config.nelx, config.nely,
+                          config.nelz, config.points_per_dim);
+  const PredictionPipeline pipeline(mesh, ModelSet::load(models_path));
+
+  Xoshiro256 rng(20260417);
+  const char* const mappers[] = {"bin", "element", "hilbert"};
+  for (int query = 0; query < 12; ++query) {
+    PredictionConfig base;
+    base.mapper_kind = mappers[rng.uniform_below(3)];
+    base.filter_size = rng.uniform(0.03, 0.15);
+    base.interval_stride = 1 + rng.uniform_below(3);
+    base.network = config.network;
+    std::vector<PredictionConfig> configs(1 + rng.uniform_below(2), base);
+    Json ranks = Json::array();
+    for (PredictionConfig& pc : configs) {
+      pc.num_ranks = static_cast<Rank>(1 + rng.uniform_below(40));
+      ranks.push_back(Json(static_cast<std::int64_t>(pc.num_ranks)));
+    }
+    Json request = Json::object();
+    request.set("ranks", ranks);
+    request.set("mapper", Json(base.mapper_kind));
+    request.set("filter", Json(base.filter_size));
+    request.set("interval_stride",
+                Json(static_cast<std::uint64_t>(base.interval_stride)));
+    const std::string body = request.dump();
+    SCOPED_TRACE(body);
+
+    const std::vector<Json> predicted =
+        daemon_rows(service, "/v1/predict", body);
+    const std::vector<Json> workload =
+        daemon_rows(service, "/v1/workload", body);
+    ASSERT_EQ(predicted.size(), configs.size());
+    ASSERT_EQ(workload.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      const PredictionConfig& pc = configs[i];
+      const PredictionOutcome outcome = pipeline.predict(trace, pc);
+      const WorkloadResult& w = outcome.workload;
+      const UtilizationStats stats = utilization(w.comp_real);
+      for (const Json* row : {&predicted[i], &workload[i]}) {
+        EXPECT_EQ(row->at("ranks").as_int(), pc.num_ranks);
+        EXPECT_EQ(row->at("mapper").as_string(), pc.mapper_kind);
+        EXPECT_EQ(row->at("filter").as_double(), pc.filter_size);
+        EXPECT_EQ(row->at("intervals").as_uint(), w.num_intervals());
+      }
+      const Json& p = predicted[i];
+      EXPECT_EQ(p.members().size(), 7u) << "a /v1/predict field is unchecked";
+      EXPECT_EQ(p.at("predicted_seconds").as_double(),
+                outcome.sim.total_seconds);
+      EXPECT_EQ(p.at("critical_path_seconds").as_double(),
+                outcome.sim.critical_path_seconds);
+      EXPECT_EQ(p.at("des_events").as_uint(), outcome.sim.events);
+      const Json& q = workload[i];
+      EXPECT_EQ(q.members().size(), 9u)
+          << "a /v1/workload field is unchecked";
+      EXPECT_EQ(q.at("peak_particles_per_rank").as_int(), stats.peak_load);
+      EXPECT_EQ(q.at("mean_active_fraction").as_double(),
+                stats.mean_active_fraction);
+      EXPECT_EQ(q.at("ever_active_ranks").as_int(), stats.ever_active);
+      EXPECT_EQ(q.at("migrated_particles").as_int(),
+                w.comm_real.total_volume());
+      EXPECT_EQ(q.at("ghost_transfers").as_int(),
+                w.comm_ghost.total_volume());
+    }
+  }
+  std::remove(models_path.c_str());
 }
 
 }  // namespace

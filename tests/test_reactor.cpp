@@ -20,12 +20,18 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -937,6 +943,201 @@ TEST_F(ReactorServiceTest, MetricszSpeaksPrometheusOnRequest) {
       << "prometheus body leaked JSON";
 }
 
+// --- one stage hook: the real pipeline behind an observed reactor -----------
+
+/// The pipeline layers a cold /v1/predict runs, in BENCHMARK.json's
+/// per_layer names.
+const std::vector<std::string> kLayers = {
+    "trace.read",     "mesh.partition", "mapping.map", "workload.account",
+    "workload.ghost", "model.eval",     "des.run"};
+
+std::set<std::string> stage_names(const RequestTrace& trace) {
+  std::set<std::string> names;
+  for (const StageTiming& stage : trace.stages()) names.insert(stage.name);
+  return names;
+}
+
+std::string predict_wire(const std::string& ranks_json) {
+  const std::string body = "{\"ranks\": [" + ranks_json + "]}";
+  return "POST /v1/predict HTTP/1.1\r\nContent-Length: " +
+         std::to_string(body.size()) + "\r\n\r\n" + body;
+}
+
+/// The real service with models loaded, so /v1/predict runs every layer,
+/// behind a reactor that samples every request (trace_sample_n = 1) and
+/// keeps each finished request's trace, as the access log would see it.
+class ReactorStageTest : public ReactorServiceTest {
+ protected:
+  void SetUp() override {
+    ReactorServiceTest::SetUp();  // an in-memory session: no span is kept
+    models_path_ = testing::TempDir() + "/picp_reactor_models_" +
+                   std::to_string(::getpid()) + ".txt";
+    std::ofstream(models_path_)
+        << "project | np,ngp,filter | linear 0 1e-8 2e-8 3e-8\n";
+    config_.models_path = models_path_;
+    restart();
+  }
+  void TearDown() override {
+    std::remove(models_path_.c_str());
+    ReactorServiceTest::TearDown();
+  }
+
+  /// A fresh service (empty caches) behind a fresh inline reactor, on the
+  /// manual clock or, with `real_clock`, on steady_clock.
+  void restart(bool real_clock = false) {
+    service_ = std::make_unique<PredictionService>(config_);
+    ReactorOptions options = quick_options();
+    options.coalesce_key = [this](const HttpRequest& request) {
+      return service_->coalesce_key(request);
+    };
+    options.trace_sample_n = 1;
+    options.observer = [this](const RequestTrace& trace) {
+      observed_.push_back(trace);
+    };
+    EpollReactor::Handler handler = [this](const HttpRequest& request) {
+      return service_->handle(request);
+    };
+    if (real_clock)
+      reactor_ = std::make_unique<EpollReactor>(options, std::move(handler),
+                                                nullptr);
+    else
+      make(options, std::move(handler));
+  }
+
+  /// Cold, cached and coalesced requests: two cold configs, each repeated
+  /// from the cache, then three identical new ones in one cycle.
+  void mixed_traffic() {
+    for (const char* ranks : {"3", "5"})
+      for (int i = 0; i < 2; ++i)
+        EXPECT_EQ(roundtrip(predict_wire(ranks)).status, 200);
+    for (const HttpResponse& response :
+         storm(std::vector<std::string>(3, predict_wire("7"))))
+      EXPECT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(reactor_->stats().batch_members, 2u);
+  }
+
+  /// The access-log line of the latest finished request.
+  Json last_line() const {
+    return Json::parse(access_log_line(observed_.back()));
+  }
+
+  std::string models_path_;
+  std::vector<RequestTrace> observed_;
+};
+
+TEST_F(ReactorStageTest, SpansAreKeptOnlyForASessionThatWritesThem) {
+  if (!PICP_TELEMETRY_ENABLED)
+    GTEST_SKIP() << "built with PICP_TELEMETRY=OFF: no phases or spans";
+  mixed_traffic();
+  ASSERT_EQ(observed_.size(), 7u);
+  EXPECT_EQ(telemetry::tracer().span_count(), 0u)
+      << "a session without a directory kept spans nothing will write";
+  std::map<std::string, std::uint64_t> phases;
+  for (const telemetry::PhaseTotal& total : telemetry::phase_totals())
+    phases[total.name] = total.count;
+  EXPECT_EQ(phases["generate"], 3u);
+  for (const std::string& layer : kLayers)
+    EXPECT_GT(phases[layer], 0u) << layer;
+
+  // The same traffic under a session that writes spans keeps exactly the
+  // sampled requests' spans: request, batch-wait, queue and each stage.
+  telemetry::SessionOptions session;
+  session.directory = testing::TempDir() + "/picp_reactor_stage_spans_" +
+                      std::to_string(::getpid());
+  telemetry::configure(session);
+  restart();
+  observed_.clear();
+  mixed_traffic();
+  ASSERT_EQ(observed_.size(), 7u);
+  std::size_t sampled = 0;
+  for (const RequestTrace& trace : observed_)
+    sampled += 3 + trace.stages().size();
+  EXPECT_EQ(telemetry::tracer().span_count(), sampled);
+  telemetry::configure(telemetry::SessionOptions{});
+  std::filesystem::remove_all(session.directory);
+}
+
+TEST_F(ReactorStageTest, ColdMissTraceSplitsByLayer) {
+  restart(/*real_clock=*/true);
+  // Three distinct cold misses. Each splits into every phase and layer,
+  // and the stages must account for the total in at least one: an untimed
+  // region in the code fails all three, a scheduler preemption outside
+  // any stage on a loaded host only one.
+  double best_gap = 1.0;
+  for (const char* ranks : {"6", "7", "9"}) {
+    ASSERT_EQ(roundtrip(predict_wire(ranks)).status, 200);
+    const RequestTrace& cold = observed_.back();
+    EXPECT_STREQ(cold.cache_tier, "miss");
+    const std::set<std::string> names = stage_names(cold);
+    for (const char* phase : {"cache", "generate", "simulate", "render"})
+      EXPECT_EQ(names.count(phase), 1u) << phase;
+    for (const std::string& layer : kLayers)
+      EXPECT_EQ(names.count(layer), 1u) << layer;
+    double stage_sum_us = 0.0;
+    for (const StageTiming& stage : cold.stages())
+      stage_sum_us += stage.dur_us;
+    const double accounted =
+        cold.batch_wait_us + cold.queue_wait_us + stage_sum_us;
+    best_gap = std::min(best_gap,
+                        std::abs(cold.total_us - accounted) / cold.total_us);
+  }
+  EXPECT_LT(best_gap, 0.1)
+      << "stage timings do not account for the request total";
+
+  // A repeat comes from the cache: no generation, no layer.
+  ASSERT_EQ(roundtrip(predict_wire("6")).status, 200);
+  ASSERT_EQ(observed_.size(), 4u);
+  const std::set<std::string> repeat = stage_names(observed_.back());
+  EXPECT_EQ(repeat.count("cache"), 1u);
+  EXPECT_EQ(repeat.count("generate"), 0u);
+  for (const std::string& layer : kLayers)
+    EXPECT_EQ(repeat.count(layer), 0u) << layer;
+}
+
+TEST_F(ReactorStageTest, AccessLogAnnotationsComeFromTheReplyHeaders) {
+  // Capacity-1 tiers with stale serving on: a second config evicts the
+  // first, whose last good body stays behind as the stale value.
+  config_.allow_stale = true;
+  config_.workload_cache_capacity = 1;
+  config_.response_cache_capacity = 1;
+  restart();
+
+  ASSERT_EQ(roundtrip(workload_wire("4")).status, 200);
+  EXPECT_EQ(last_line().at("cache").as_string(), "miss");
+  ASSERT_EQ(roundtrip(workload_wire("4")).status, 200);
+  EXPECT_EQ(last_line().at("cache").as_string(), "hit");
+
+  // A joined member paid for nothing: it logs a hit beside the leader's
+  // miss.
+  observed_.clear();
+  storm(std::vector<std::string>(2, workload_wire("2")));
+  ASSERT_EQ(observed_.size(), 2u);
+  EXPECT_STREQ(observed_[0].role, "leader");
+  EXPECT_STREQ(observed_[0].cache_tier, "miss");
+  EXPECT_STREQ(observed_[1].role, "member");
+  EXPECT_STREQ(observed_[1].cache_tier, "hit");
+
+  // Regeneration fails and the stale tier answers: the log says stale.
+  failpoint::arm("serve.generate=error");
+  const HttpResponse degraded = roundtrip(workload_wire("4"));
+  failpoint::disarm_all();
+  ASSERT_EQ(degraded.status, 200) << degraded.body;
+  ASSERT_NE(degraded.header("x-picp-degraded"), nullptr);
+  EXPECT_EQ(last_line().at("cache").as_string(), "stale");
+
+  // The budget runs out before the first stage boundary: the 504 names
+  // that stage.
+  failpoint::arm("serve.generate=delay(80)");
+  const std::string body = "{\"ranks\": [9]}";
+  const HttpResponse late = roundtrip(
+      "POST /v1/workload HTTP/1.1\r\nX-Picp-Deadline-Ms: 20\r\n"
+      "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" + body);
+  failpoint::disarm_all();
+  ASSERT_EQ(late.status, 504) << late.body;
+  EXPECT_EQ(last_line().at("deadline_stage").as_string(), "generate.partition");
+  EXPECT_EQ(last_line().at("cache").as_string(), "");
+}
+
 // --- request observability ---------------------------------------------------
 
 TEST_F(ReactorTest, EveryResponseCarriesATraceId) {
@@ -991,16 +1192,16 @@ TEST_F(ReactorTest, ObserverSeesWaitsStagesAndStatusPerRequest) {
   // 3 ms "render" — exclusive stage times must sum to the handler time.
   make(options, [this](const HttpRequest& request) {
     {
-      const RequestTrace::Stage cache("cache");
+      const telemetry::ScopedSpan cache("cache");
       advance_ms(5);
-      const RequestTrace::Stage generate("generate");
+      const telemetry::ScopedSpan generate("generate");
       advance_ms(20);
     }
     {
-      const RequestTrace::Stage simulate("simulate");
+      const telemetry::ScopedSpan simulate("simulate");
       advance_ms(10);
     }
-    const RequestTrace::Stage render("render");
+    const telemetry::ScopedSpan render("render");
     advance_ms(3);
     return echo_handler(request);
   });
@@ -1045,15 +1246,19 @@ TEST_F(ReactorTest, ObserverSeesWaitsStagesAndStatusPerRequest) {
 }
 
 TEST_F(ReactorTest, SampledSlowRequestEmitsSpansThatSumToTheTotal) {
-  telemetry::configure(telemetry::SessionOptions{});  // in-memory session
+  // Spans are emitted only for a session that will write them.
+  telemetry::SessionOptions session;
+  session.directory = testing::TempDir() + "/picp_reactor_spans_" +
+                      std::to_string(::getpid());
+  telemetry::configure(session);
   ReactorOptions options = quick_options();
   options.trace_sample_n = 1;  // sample every finished request
   make(options, [this](const HttpRequest& request) {
     {
-      const RequestTrace::Stage generate("generate");
+      const telemetry::ScopedSpan generate("generate");
       advance_ms(30);
     }
-    const RequestTrace::Stage simulate("simulate");
+    const telemetry::ScopedSpan simulate("simulate");
     advance_ms(12);
     return echo_handler(request);
   });
@@ -1087,6 +1292,8 @@ TEST_F(ReactorTest, SampledSlowRequestEmitsSpansThatSumToTheTotal) {
     }
   }
   EXPECT_TRUE(red_seen) << "RED latency histogram was never registered";
+  telemetry::configure(telemetry::SessionOptions{});
+  std::filesystem::remove_all(session.directory);
 }
 
 TEST_F(ReactorTest, RedCountsEveryResponseOnceInItsRouteAndClass) {

@@ -6,11 +6,14 @@
 #include "telemetry/telemetry.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "util/error.hpp"
@@ -168,6 +171,11 @@ TEST_F(TelemetrySession, ConcurrentIncrementsUnderThreadPool) {
 TEST_F(TelemetrySession, PhasesAccumulateAndSpansRecord) {
   if (!PICP_TELEMETRY_ENABLED)
     GTEST_SKIP() << "built with PICP_TELEMETRY=OFF: spans are compiled out";
+  // Spans are buffered only for a session that will write them.
+  SessionOptions options;
+  options.directory = testing::TempDir() + "/picp_phases_" +
+                      std::to_string(::getpid());
+  configure(options);
   Phase& ph = phase("test.phase");
   {
     const ScopedSpan span("test.phase", ph, "test");
@@ -186,6 +194,22 @@ TEST_F(TelemetrySession, PhasesAccumulateAndSpansRecord) {
       EXPECT_EQ(total.count, 2u);
     }
   EXPECT_TRUE(found);
+  std::filesystem::remove_all(options.directory);
+}
+
+TEST_F(TelemetrySession, SpansAreBufferedOnlyForASessionWithADirectory) {
+  if (!PICP_TELEMETRY_ENABLED)
+    GTEST_SKIP() << "built with PICP_TELEMETRY=OFF: spans are compiled out";
+  // SetUp's session has no directory: finalize() would write spans
+  // nowhere, so none is kept, while the phase still counts.
+  EXPECT_FALSE(tracing());
+  Phase& ph = phase("test.unwritten");
+  const std::size_t spans_before = tracer().span_count();
+  for (int i = 0; i < 100; ++i) {
+    const ScopedSpan span("test.unwritten", ph, "test");
+  }
+  EXPECT_EQ(ph.count(), 100u);
+  EXPECT_EQ(tracer().span_count(), spans_before);
 }
 
 TEST_F(TelemetrySession, SummaryLineNamesHottestPhase) {

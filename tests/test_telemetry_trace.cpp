@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -143,6 +144,22 @@ TEST(ChromeTrace, SpansSortedByStartAndClearDropsAll) {
 
   tracer.clear();
   EXPECT_EQ(tracer.span_count(), 0u);
+}
+
+TEST(ChromeTrace, TracerBuiltWhereADestroyedOneLivedKeepsItsSpans) {
+  // The calling thread's buffer belongs to the first tracer; the second,
+  // built in the same storage, must register its own instead of adopting
+  // the dead tracer's.
+  alignas(SpanTracer) unsigned char storage[sizeof(SpanTracer)];
+  SpanTracer* tracer = new (storage) SpanTracer();
+  tracer->record("first", "test", 1.0, 1.0);
+  tracer->~SpanTracer();
+  tracer = new (storage) SpanTracer();
+  tracer->record("second", "test", 2.0, 1.0);
+  EXPECT_EQ(tracer->span_count(), 1u);
+  const auto spans = tracer->collect();
+  EXPECT_TRUE(spans.size() == 1 && std::string(spans[0].span.name) == "second");
+  tracer->~SpanTracer();
 }
 
 TEST(ChromeTrace, WriteChromeTraceLeavesNoTempResidue) {

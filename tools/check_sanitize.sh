@@ -46,15 +46,17 @@ echo "sanitizer suite (${SANITIZE}) passed"
 # completion queue, the HTTP server end-to-end, the thread pool itself,
 # the artifact cache's single-flight, the observability layer (trace
 # stages ride worker threads; the access log is reactor-written but
-# mutex-guarded for embedders), and trace cursors plus the service's
-# lock-free concurrent generations (TraceIo, ServeDegraded, PipelineSplit)
-# — because a full-suite TSan run costs 10x+ and everything else is
-# single-threaded by construction.
+# mutex-guarded for embedders), trace cursors plus the service's
+# lock-free concurrent generations (TraceIo, ServeDegraded, PipelineSplit),
+# and the span tracer's per-thread buffers and the stage hook behind every
+# ScopedSpan (ChromeTrace, TelemetrySession; the real pipeline's stages on
+# a reactor are ReactorStageTest) — because a full-suite TSan run costs
+# 10x+ and everything else is single-threaded by construction.
 if [ "$TSAN_BUILD_DIR" != "none" ]; then
   cmake -B "$TSAN_BUILD_DIR" -S "$SRC_DIR" -DPICP_SANITIZE=thread
   cmake --build "$TSAN_BUILD_DIR" -j --target picp_tests
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$TSAN_BUILD_DIR/tests/picp_tests" \
-    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*:TraceIo*:ServeDegraded*:PipelineSplit*'
+    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*:TraceIo*:ServeDegraded*:PipelineSplit*:ChromeTrace*:TelemetrySession*'
   echo "thread-sanitizer reactor suite passed"
 fi

@@ -4,8 +4,9 @@
 # `picpredict query` client — health, prediction, byte-identical cache
 # replay, one generation for 100 concurrent identical queries (the
 # reactor coalesces in-flight twins; later ones hit the response cache),
-# malformed-input 400s, method routing, backpressure shedding, and the
-# SIGTERM drain (exit 0 + valid telemetry manifest).
+# malformed-input 400s, method routing, backpressure shedding, per-layer
+# stage splits in the access log and the sampled trace, and the SIGTERM
+# drain (exit 0 + valid telemetry manifest).
 #
 # Usage: check_serve.sh <picpredict-binary> [workdir]
 # Wired into ctest (fast tier) from tools/CMakeLists.txt.
@@ -306,6 +307,14 @@ for line in open(sys.argv[1]):
     count += 1
 assert count > 0, "no access log lines"
 assert roles <= {"solo", "leader", "member", "none"}, roles
+# A cold miss splits its seconds across the pipeline's layers.
+layers = {"trace.read", "mesh.partition", "mapping.map", "workload.account",
+          "workload.ghost", "model.eval", "des.run"}
+misses = [doc for doc in map(json.loads, open(sys.argv[1]))
+          if doc["cache"] == "miss"]
+assert misses, "no access log line with cache: miss"
+assert any(layers <= set(doc["stages"]) for doc in misses), \
+    "no cache-miss line carries all seven layer stages: %r" % misses[0]
 print("access log OK (%d lines, roles %s)" % (count, sorted(roles)))
 EOF
 
@@ -356,6 +365,7 @@ trace = mini.trace
 models = mini.models
 threads = 1
 max_connections = 1
+trace_sample_n = 1
 
 [mesh]
 nelx = 8
@@ -370,6 +380,9 @@ for _ in $(seq 1 100); do
 done
 [[ -s busy.port ]] || fail "busy daemon never wrote the ready file"
 BUSY_PORT=$(cat busy.port)
+# Without --telemetry-dir a sampled span has nowhere to go: say so at boot.
+grep -q 'serve.trace_sample_n is set but no --telemetry-dir' busy.log \
+    || fail "no boot warning for trace_sample_n without --telemetry-dir"
 # Warm the cache so rejected connections are the only failure mode.
 "$PICPREDICT" query /v1/predict --port "$BUSY_PORT" \
     --body '{"ranks": [8]}' --quiet || fail "busy daemon warmup failed"
@@ -404,7 +417,14 @@ leftover=$(find tele_serve -name '*.tmp*' | wc -l)
 "$PICPREDICT" report tele_serve --check
 grep -q '"command": "serve"' tele_serve/manifest.json \
     || fail "manifest command != serve"
-grep -q 'serve.workload_gen' tele_serve/trace.json \
-    || fail "no serve.workload_gen spans in trace.json"
+if grep -q 'no --telemetry-dir' serve.log; then
+    fail "a daemon with --telemetry-dir warned that it has none"
+fi
+# The sampled requests' spans: the generation and every pipeline layer.
+for name in generate trace.read mesh.partition mapping.map \
+        workload.account workload.ghost model.eval des.run; do
+    grep -q "\"name\":\"$name\"" tele_serve/trace.json \
+        || fail "no $name spans in trace.json"
+done
 
 echo "check_serve: OK"

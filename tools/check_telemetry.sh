@@ -94,11 +94,14 @@ echo "== report --check (predict) =="
 "$PICPREDICT" report tele_pred --check
 grep -q '"command": "predict"' tele_pred/manifest.json \
     || { echo "FAIL: manifest command != predict" >&2; exit 1; }
-grep -q 'predict.workload_gen' tele_pred/trace.json \
-    || { echo "FAIL: no predict.workload_gen spans" >&2; exit 1; }
-grep -q 'predict.model' tele_pred/trace.json \
-    || { echo "FAIL: no predict.model spans" >&2; exit 1; }
-grep -q 'des.run' tele_pred/trace.json \
-    || { echo "FAIL: no des.run spans" >&2; exit 1; }
+# Every pipeline layer, in BENCHMARK.json's per_layer names, as spans and
+# as manifest phases.
+for name in trace.read mesh.partition mapping.map workload.account \
+        workload.ghost model.eval des.run; do
+    grep -q "\"name\":\"$name\"" tele_pred/trace.json \
+        || { echo "FAIL: no $name spans in trace.json" >&2; exit 1; }
+    grep -q "\"name\": \"$name\"" tele_pred/manifest.json \
+        || { echo "FAIL: no $name phase in manifest.json" >&2; exit 1; }
+done
 
 echo "check_telemetry: OK"

@@ -653,6 +653,11 @@ int cmd_serve(int argc, char** argv) {
   telemetry::SessionOptions session;
   if (telemetry_persisted) session.directory = flags.at("telemetry-dir");
   telemetry::configure(session);
+  // Sampled request spans are written only into --telemetry-dir's trace.
+  for (const char* key : {"serve.trace_sample_n", "serve.slow_request_ms"})
+    if (!telemetry_persisted && config.get_int(key, 0) > 0)
+      PICP_LOG_WARN << key << " is set but no --telemetry-dir is given: "
+                    << "its request spans are not recorded";
   telemetry::add_run_annotation("config", config_path);
   telemetry::add_run_annotation("trace", service_config.trace_path);
 
