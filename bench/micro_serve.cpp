@@ -397,9 +397,15 @@ int main(int argc, char** argv) {
 
   server.request_shutdown();
   server_thread.join();
-  // peak_connections is monotonic, so reading after the drain still
-  // reflects the open-loop high-water mark (and avoids racing the reactor).
-  const serve::ReactorStats stats = server.stats();
+  // serve.peak_connections is a high-water mark, so reading it after the
+  // drain still reflects the open-loop burst.
+  const telemetry::MetricsSnapshot metrics = telemetry::registry().snapshot();
+  const auto peak_connections = static_cast<std::size_t>(
+      metrics.gauge_value("serve.peak_connections"));
+  const auto batch_leaders = static_cast<unsigned long long>(
+      metrics.counter_value("serve.batch.leaders"));
+  const auto batch_members = static_cast<unsigned long long>(
+      metrics.counter_value("serve.batch.members"));
 
   std::printf("# micro_serve: load against the prediction daemon "
               "(in-process server, loopback TCP)\n");
@@ -426,9 +432,7 @@ int main(int argc, char** argv) {
   }
   std::printf("# peak_connections=%zu batch_leaders=%llu "
               "batch_members=%llu\n",
-              stats.peak_connections,
-              static_cast<unsigned long long>(stats.batch_leaders),
-              static_cast<unsigned long long>(stats.batch_members));
+              peak_connections, batch_leaders, batch_members);
 
   if (json_path != nullptr) {
     std::FILE* out = std::fopen(json_path, "w");
@@ -449,9 +453,7 @@ int main(int argc, char** argv) {
                  "  \"batch_members\": %llu,\n"
                  "  \"phases\": [\n",
                  connections, requests, distinct, open_connections,
-                 stats.peak_connections,
-                 static_cast<unsigned long long>(stats.batch_leaders),
-                 static_cast<unsigned long long>(stats.batch_members));
+                 peak_connections, batch_leaders, batch_members);
     bool first = true;
     for (const PhaseResult* phase : report) {
       std::fprintf(
@@ -475,7 +477,7 @@ int main(int argc, char** argv) {
   // connections were concurrently open on the server.
   const bool open_ok =
       open_connections == 0 ||
-      (open_loop.failures == 0 && stats.peak_connections >= open_connections);
+      (open_loop.failures == 0 && peak_connections >= open_connections);
   const bool closed_ok =
       warmup.failures + baseline.failures + faulty.failures == 0;
   return closed_ok && open_ok ? 0 : 1;

@@ -21,9 +21,14 @@
 //   - A failed spill (disk full, injected short write) drops the entry
 //     from the disk tier but never publishes a torn file — AtomicFile
 //     unlinks its temp on abort — and never aborts the eviction.
-//   - A bounded *stale tier* remembers the last good value per key in
-//     memory. When compute fails and the caller allows it, the stale
-//     value is served (flagged degraded) instead of propagating a 500.
+//   - A cache built with a *stale tier* remembers the last good value of
+//     up to `capacity` keys in memory. When compute fails, the stale value
+//     is served (flagged degraded) instead of propagating a 500. A cache
+//     without one keeps no evicted value alive.
+//
+// Counts live only in the telemetry registry, under the family the cache
+// is built with (`<family>.hits`, ...): a scrape and a drain manifest
+// read the same numbers, whenever they are taken.
 
 #include <cstdint>
 #include <cstdio>
@@ -39,6 +44,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "telemetry/telemetry.hpp"
 #include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
 #include "util/deadline.hpp"
@@ -46,18 +52,6 @@
 #include "util/failpoint.hpp"
 
 namespace picp::serve {
-
-/// Monotonic cache statistics (all mutations under the cache mutex; the
-/// service layer republishes them as telemetry counters).
-struct ArtifactCacheStats {
-  std::uint64_t hits = 0;            // served from the in-memory LRU
-  std::uint64_t misses = 0;          // triggered a compute
-  std::uint64_t disk_hits = 0;       // repopulated from the spill tier
-  std::uint64_t evictions = 0;       // LRU entries dropped (capacity)
-  std::uint64_t quarantined = 0;     // spill files failing their digest
-  std::uint64_t stale_served = 0;    // degraded responses from the stale tier
-  std::uint64_t spill_failures = 0;  // evictions whose disk spill failed
-};
 
 template <typename V>
 class ArtifactCache {
@@ -70,15 +64,20 @@ class ArtifactCache {
     std::function<V(const std::string&)> decode;
   };
 
-  /// `capacity` bounds completed in-memory entries (>= 1). `spill_dir`
-  /// empty disables the disk tier. When enabled, the constructor
-  /// reconciles the spill dir: entries failing their frame digest and
-  /// orphaned temp files are quarantined before any request is served.
-  explicit ArtifactCache(std::size_t capacity, std::string spill_dir = "",
-                         SpillHooks hooks = {})
+  /// `capacity` bounds completed in-memory entries (>= 1). `family` names
+  /// the registry metrics the cache counts in (`<family>.hits`, ...).
+  /// `spill_dir` empty disables the disk tier. When enabled, the
+  /// constructor reconciles the spill dir: entries failing their frame
+  /// digest and orphaned temp files are quarantined before any request is
+  /// served. `stale_tier` is for a cache whose callers serve stale values.
+  ArtifactCache(std::size_t capacity, const std::string& family,
+                std::string spill_dir = "", SpillHooks hooks = {},
+                bool stale_tier = false)
       : capacity_(capacity == 0 ? 1 : capacity),
         spill_dir_(std::move(spill_dir)),
-        hooks_(std::move(hooks)) {
+        hooks_(std::move(hooks)),
+        stale_tier_(stale_tier),
+        metrics_(family) {
     if (!spill_dir_.empty()) {
       std::filesystem::create_directories(spill_dir_);
       scan_spill_dir();
@@ -88,49 +87,50 @@ class ArtifactCache {
   /// The artifact for `key`, computing it via `compute` on a miss. A
   /// throwing compute propagates and leaves the key absent, so the next
   /// request retries. `from_cache` (optional) reports whether the value
-  /// was served without running `compute`.
+  /// was served without running `compute`. A call that returns counts in
+  /// exactly one of `hits` (from memory), `disk_hits` (from the spill
+  /// tier), `stale_served` (from the stale tier) and `misses` (a compute
+  /// ran and returned); a call that throws counts in none.
   ///
-  /// With `allow_stale`, a failed compute falls back to the last good
-  /// value for the key when one is remembered — `*degraded` reports that
-  /// the value is stale. A DeadlineExceeded never serves stale: the client
-  /// stopped waiting, and stale-on-timeout would disguise a 504 as a 200.
+  /// In a cache with a stale tier, a failed compute falls back to the last
+  /// good value for the key when one is remembered — `*degraded` reports
+  /// that the value is stale. A DeadlineExceeded never serves stale: the
+  /// client stopped waiting, and stale-on-timeout would disguise a 504 as
+  /// a 200.
   std::shared_ptr<const V> get_or_compute(std::uint64_t key,
                                           const std::function<V()>& compute,
                                           bool* from_cache = nullptr,
-                                          bool allow_stale = false,
                                           bool* degraded = nullptr) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (auto it = entries_.find(key); it != entries_.end()) {
-        ++stats_.hits;
+        metrics_.hits.add();
         touch(it->second);
         if (from_cache != nullptr) *from_cache = true;
         return it->second.value;
       }
-      ++stats_.misses;
     }
 
     bool from_disk = false;
     std::shared_ptr<const V> value;
     try {
-      value = load_spill(key, &from_disk);
-      if (value == nullptr) value = std::make_shared<const V>(compute());
+      value = load_spill(key);
+      from_disk = value != nullptr;
+      if (!from_disk) value = std::make_shared<const V>(compute());
     } catch (...) {
-      std::shared_ptr<const V> stale = allow_stale && !unwinding_deadline()
+      std::shared_ptr<const V> stale = stale_tier_ && !unwinding_deadline()
                                            ? take_stale(key)
                                            : nullptr;
       if (stale == nullptr) throw;
       // Degraded mode: the last good value answers this request; nothing
       // is inserted, so the next request retries a fresh compute instead
       // of re-serving stale forever.
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.stale_served;
-      }
+      metrics_.stale_served.add();
       if (from_cache != nullptr) *from_cache = true;
       if (degraded != nullptr) *degraded = true;
       return stale;
     }
+    (from_disk ? metrics_.disk_hits : metrics_.misses).add();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       const auto [it, inserted] = entries_.try_emplace(key);
@@ -138,9 +138,9 @@ class ArtifactCache {
         it->second.value = value;
         lru_.push_front(key);
         it->second.lru = lru_.begin();
-        if (from_disk) ++stats_.disk_hits;
         remember_stale(key, value);
         evict_over_capacity();
+        metrics_.resident.set(static_cast<double>(lru_.size()));
       } else {
         // A concurrent compute of the key landed first: keep its entry,
         // so every caller replays the same resident value.
@@ -156,11 +156,6 @@ class ArtifactCache {
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return lru_.size();
-  }
-
-  ArtifactCacheStats stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
   }
 
   /// Spill-file path for a key (empty when the disk tier is off) — exposed
@@ -182,6 +177,34 @@ class ArtifactCache {
   struct Entry {
     std::shared_ptr<const V> value;
     std::list<std::uint64_t>::iterator lru;
+  };
+
+  /// The family's registry metrics, resolved once: counting is one
+  /// relaxed add, with or without a telemetry session.
+  struct Metrics {
+    explicit Metrics(const std::string& family)
+        : hits(counter(family, "hits")),
+          disk_hits(counter(family, "disk_hits")),
+          stale_served(counter(family, "stale_served")),
+          misses(counter(family, "misses")),
+          evictions(counter(family, "evictions")),
+          quarantined(counter(family, "quarantined")),
+          spill_failures(counter(family, "spill_failures")),
+          resident(telemetry::registry().gauge(family + ".resident")) {}
+
+    static telemetry::Counter& counter(const std::string& family,
+                                       const char* name) {
+      return telemetry::registry().counter(family + "." + name);
+    }
+
+    telemetry::Counter& hits;
+    telemetry::Counter& disk_hits;
+    telemetry::Counter& stale_served;
+    telemetry::Counter& misses;
+    telemetry::Counter& evictions;       // LRU entries dropped (capacity)
+    telemetry::Counter& quarantined;     // spill files failing their digest
+    telemetry::Counter& spill_failures;  // evictions whose spill failed
+    telemetry::Gauge& resident;          // entries in memory
   };
 
   // --- spill frame -------------------------------------------------------
@@ -247,7 +270,7 @@ class ArtifactCache {
 
   /// Constructor-time scan: verify every committed spill frame, quarantine
   /// failures and crash-orphaned temp files. Runs before any request, so
-  /// no locking; counts land in stats_ and surface via /metricsz.
+  /// no locking.
   void scan_spill_dir() {
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -258,7 +281,7 @@ class ArtifactCache {
         // Crash mid-spill: AtomicFile never committed this. Quarantine it
         // so a later spill of the same key starts from a clean slate.
         quarantine_file(item.path());
-        ++stats_.quarantined;
+        metrics_.quarantined.add();
         continue;
       }
       if (name.size() != 20 || name.compare(16, 4, ".art") != 0) continue;
@@ -273,7 +296,7 @@ class ArtifactCache {
         (void)decode_frame(key, bytes.str(), item.path().string());
       } catch (const Error&) {
         quarantine_file(item.path());
-        ++stats_.quarantined;
+        metrics_.quarantined.add();
       }
     }
   }
@@ -282,8 +305,9 @@ class ArtifactCache {
 
   /// Remember the last good value for a key (bounded FIFO of capacity_
   /// keys) so degraded mode can serve it after compute + disk both fail.
-  /// Caller holds mutex_.
+  /// A cache without a stale tier remembers nothing. Caller holds mutex_.
   void remember_stale(std::uint64_t key, std::shared_ptr<const V> value) {
+    if (!stale_tier_) return;
     if (auto it = stale_.find(key); it != stale_.end()) {
       it->second = std::move(value);
       return;
@@ -333,11 +357,11 @@ class ArtifactCache {
         // Disk full / injected short write: the entry just falls out of
         // the disk tier. AtomicFile aborted its temp, so nothing torn was
         // published — and eviction itself must never fail.
-        ++stats_.spill_failures;
+        metrics_.spill_failures.add();
       }
       entries_.erase(it);
       lru_.pop_back();
-      ++stats_.evictions;
+      metrics_.evictions.add();
     }
   }
 
@@ -354,7 +378,7 @@ class ArtifactCache {
   /// nullptr when absent/disabled or when the file fails its frame check
   /// (which quarantines it); throws only on decode rejecting a payload
   /// whose digest was valid — a logic error worth surfacing.
-  std::shared_ptr<const V> load_spill(std::uint64_t key, bool* from_disk) {
+  std::shared_ptr<const V> load_spill(std::uint64_t key) {
     if (spill_dir_.empty() || !hooks_.decode) return nullptr;
     failpoint::inject("cache.load");
     const std::string path = spill_path(key);
@@ -368,14 +392,11 @@ class ArtifactCache {
     } catch (const Error&) {
       in.close();
       quarantine_file(path);
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.quarantined;
+      metrics_.quarantined.add();
       return nullptr;
     }
     try {
-      auto value = std::make_shared<const V>(hooks_.decode(payload));
-      *from_disk = true;
-      return value;
+      return std::make_shared<const V>(hooks_.decode(payload));
     } catch (const Error&) {
       return nullptr;  // decode rejected a digest-valid payload: recompute
     }
@@ -389,7 +410,8 @@ class ArtifactCache {
   std::list<std::uint64_t> lru_;  // front = most recently used
   std::unordered_map<std::uint64_t, std::shared_ptr<const V>> stale_;
   std::list<std::uint64_t> stale_order_;  // FIFO bound for stale_
-  ArtifactCacheStats stats_;
+  const bool stale_tier_;
+  const Metrics metrics_;
 };
 
 }  // namespace picp::serve

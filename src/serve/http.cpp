@@ -8,7 +8,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -22,17 +21,11 @@ namespace picp::serve {
 
 namespace {
 
-std::string lower(std::string text) {
-  for (char& c : text)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return text;
-}
-
 const std::string* find_header(
     const std::vector<std::pair<std::string, std::string>>& headers,
     const std::string& lower_name) {
   for (const auto& [name, value] : headers)
-    if (lower(name) == lower_name) return &value;
+    if (to_lower(name) == lower_name) return &value;
   return nullptr;
 }
 
@@ -54,7 +47,7 @@ const std::string* HttpRequest::header(const std::string& lower_name) const {
 bool HttpRequest::keep_alive() const {
   const std::string* connection = header("connection");
   if (connection == nullptr) return version != "HTTP/1.0";
-  return lower(*connection) != "close";
+  return to_lower(*connection) != "close";
 }
 
 const std::string* HttpResponse::header(
@@ -65,7 +58,7 @@ const std::string* HttpResponse::header(
 void HttpResponse::set_header(const std::string& name,
                               const std::string& value) {
   for (auto& [existing, existing_value] : headers) {
-    if (lower(existing) == lower(name)) {
+    if (to_lower(existing) == to_lower(name)) {
       existing_value = value;
       return;
     }

@@ -1,7 +1,5 @@
 #include "serve/http_parser.hpp"
 
-#include <cctype>
-
 #include "util/string_util.hpp"
 
 namespace picp::serve {
@@ -9,12 +7,6 @@ namespace picp::serve {
 namespace wire {
 
 namespace {
-
-std::string lower(std::string text) {
-  for (char& c : text)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return text;
-}
 
 const std::string* find_header(
     const std::vector<std::pair<std::string, std::string>>& headers,
@@ -69,7 +61,7 @@ void parse_head_block(
     const std::size_t colon = line.find(':');
     if (colon == std::string::npos || colon == 0)
       throw HttpError(400, "malformed header line: " + line);
-    std::string name = lower(trim(line.substr(0, colon)));
+    std::string name = to_lower(trim(line.substr(0, colon)));
     std::string value = trim(line.substr(colon + 1));
     if (name.empty()) throw HttpError(400, "empty header name");
     headers.emplace_back(std::move(name), std::move(value));
@@ -154,7 +146,6 @@ void RequestParser::drain_buffer() {
     pos_ += body_needed_;
     body_needed_ = 0;
     state_ = State::kIdle;
-    ++parsed_;
     ready_.push_back(std::move(pending_));
     pending_ = HttpRequest();
   }

@@ -67,15 +67,9 @@ class RequestParser {
   /// Pop the oldest complete request; false when none is ready.
   bool next(HttpRequest& request);
 
-  /// True when at least one complete request is queued.
-  bool has_request() const { return !ready_.empty(); }
-
   /// Bytes of an unfinished message are buffered (head without its blank
   /// line, or a body shorter than its Content-Length).
   bool mid_message() const { return state_ != State::kIdle; }
-
-  /// Complete requests framed over the parser's lifetime.
-  std::uint64_t requests_parsed() const { return parsed_; }
 
  private:
   enum class State { kIdle, kHead, kBody };
@@ -91,7 +85,6 @@ class RequestParser {
   std::size_t body_needed_ = 0;    // remaining Content-Length bytes
   std::vector<HttpRequest> ready_; // FIFO of complete requests
   std::size_t ready_head_ = 0;
-  std::uint64_t parsed_ = 0;
 };
 
 }  // namespace picp::serve

@@ -43,10 +43,6 @@ bool peer_is_loopback(const sockaddr_storage& peer, socklen_t len) {
   return (ntohl(in4->sin_addr.s_addr) >> 24) == 127;
 }
 
-void bump(const char* name, std::uint64_t n = 1) {
-  if (telemetry::enabled()) telemetry::registry().counter(name).add(n);
-}
-
 /// "ip:port" for the access log; "unknown" for exotic address families.
 std::string peer_string(const sockaddr_storage& peer, socklen_t len) {
   if (peer.ss_family == AF_INET && len >= sizeof(sockaddr_in)) {
@@ -108,10 +104,27 @@ HttpResponse error_response(int status, const std::string& message) {
 
 }  // namespace
 
+EpollReactor::Metrics::Metrics(telemetry::MetricsRegistry& registry)
+    : accepted(registry.counter("serve.accepted")),
+      rejected_busy(registry.counter("serve.rejected_busy")),
+      shed_queue(registry.counter("serve.shed_queue")),
+      timeouts(registry.counter("serve.timeouts")),
+      accept_backoffs(registry.counter("serve.accept_backoffs")),
+      batch_leaders(registry.counter("serve.batch.leaders")),
+      batch_members(registry.counter("serve.batch.members")),
+      deadline_exceeded(registry.counter("serve.deadline_exceeded")),
+      deadline_cache_wait(
+          registry.counter("serve.deadline.stage.cache.wait")),
+      peak_connections(registry.gauge("serve.peak_connections")),
+      active_connections(registry.gauge("serve.active_connections")),
+      queue_depth(registry.gauge("serve.queue_depth")),
+      inflight(registry.gauge("serve.inflight")),
+      cycle_us(registry.gauge("serve.reactor.cycle_us")) {}
+
 EpollReactor::EpollReactor(const ReactorOptions& options, Handler handler,
                            ThreadPool* pool, ReactorClock clock)
     : options_(options), handler_(std::move(handler)), pool_(pool),
-      clock_(std::move(clock)) {
+      clock_(std::move(clock)), metrics_(telemetry::registry()) {
   PICP_REQUIRE(handler_ != nullptr, "EpollReactor needs a handler");
   if (!clock_) clock_ = [] { return std::chrono::steady_clock::now(); };
 
@@ -158,11 +171,7 @@ void EpollReactor::listen_on(int listen_fd) {
 void EpollReactor::adopt(int fd, bool from_loopback) {
   set_nonblocking(fd);
   set_cloexec(fd);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.accepted;
-  }
-  bump("serve.accepted");
+  metrics_.accepted.add();
   setup_conn(fd, from_loopback, /*counted=*/true, "local");
 }
 
@@ -192,10 +201,9 @@ void EpollReactor::setup_conn(int fd, bool from_loopback, bool counted,
     return;
   }
   if (counted) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.active_connections;
-    stats_.peak_connections =
-        std::max(stats_.peak_connections, stats_.active_connections);
+    const auto active = static_cast<double>(++active_connections_);
+    if (active > metrics_.peak_connections.value())
+      metrics_.peak_connections.set(active);
   }
   conns_.emplace(conn->id, std::move(conn));
 }
@@ -249,18 +257,8 @@ void EpollReactor::handle_accept() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     const bool from_loopback = peer_is_loopback(peer, peer_len);
 
-    bool shed = false;
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      if (stats_.active_connections >= options_.max_connections) {
-        ++stats_.rejected_busy;
-        shed = true;
-      } else {
-        ++stats_.accepted;
-      }
-    }
-    if (shed) {
-      bump("serve.rejected_busy");
+    if (active_connections_ >= options_.max_connections) {
+      metrics_.rejected_busy.add();
       // The 503 goes through a normal (uncounted) connection so a slow
       // reader cannot block the reactor on the write.
       setup_conn(fd, from_loopback, /*counted=*/false,
@@ -276,7 +274,7 @@ void EpollReactor::handle_accept() {
       }
       continue;
     }
-    bump("serve.accepted");
+    metrics_.accepted.add();
     setup_conn(fd, from_loopback, /*counted=*/true,
                peer_string(peer, peer_len));
   }
@@ -288,11 +286,7 @@ void EpollReactor::pause_accept(int err) {
   accept_paused_ = true;
   accept_resume_ =
       now() + std::chrono::milliseconds(options_.accept_backoff_ms);
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.accept_backoffs;
-  }
-  bump("serve.accept_backoffs");
+  metrics_.accept_backoffs.add();
   PICP_LOG_WARN << "accept: " << std::strerror(err) << " — pausing accepts "
                 << options_.accept_backoff_ms << " ms";
 }
@@ -360,9 +354,9 @@ int EpollReactor::run_once(int max_wait_ms) {
   reap_dead();
   publish_gauges();
   if (telemetry::enabled())
-    telemetry::registry().gauge("serve.reactor.cycle_us")
-        .set(std::chrono::duration<double, std::micro>(now() - cycle_start)
-                 .count());
+    metrics_.cycle_us.set(
+        std::chrono::duration<double, std::micro>(now() - cycle_start)
+            .count());
   return n;
 }
 
@@ -380,11 +374,7 @@ void EpollReactor::run() {
   const TimePoint drain_deadline =
       now() + std::chrono::milliseconds(options_.drain_timeout_ms);
   for (;;) {
-    bool busy = false;
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      busy = stats_.pending_requests > 0;
-    }
+    bool busy = pending() > 0;
     if (!busy) {
       for (const auto& [id, conn] : conns_) {
         if (conn->fd < 0) continue;
@@ -434,11 +424,6 @@ std::size_t EpollReactor::connection_count() const {
   for (const auto& [id, conn] : conns_)
     if (conn->fd >= 0) ++alive;
   return alive;
-}
-
-ReactorStats EpollReactor::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return stats_;
 }
 
 void EpollReactor::handle_readable(Conn& conn) {
@@ -505,10 +490,6 @@ void EpollReactor::on_request(Conn& conn, HttpRequest&& request) {
   const std::uint64_t seq = conn.next_seq++;
   conn.slots.emplace_back();
   touch(conn);  // a complete message resets the receive/idle budget
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.requests;
-  }
 
   Member member{.conn_id = conn.id,
                 .seq = seq,
@@ -525,22 +506,13 @@ void EpollReactor::on_request(Conn& conn, HttpRequest&& request) {
 
   // Queue SLO: a request that cannot join an in-flight execution is shed
   // rather than queued (joining is free — it adds no handler execution).
-  bool shed = false;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (stats_.pending_requests >= options_.max_pending_requests) {
-      ++stats_.shed_queue;
-      shed = true;
-    } else {
-      ++stats_.pending_requests;
-    }
-  }
-  if (shed) {
-    bump("serve.shed_queue");
+  if (pending() >= options_.max_pending_requests) {
+    metrics_.shed_queue.add();
     fill_error(conn, seq, busy_response(), member.trace);
     conn.read_closed = true;
     return;
   }
+  pending_.fetch_add(1, std::memory_order_relaxed);
   auto execution = std::make_shared<Execution>();
   execution->request = std::move(request);
   execution->members.push_back(std::move(member));
@@ -568,14 +540,8 @@ void EpollReactor::join(Execution& execution, Member&& member,
     } catch (const Error&) {
     }
   }
-  const bool first = execution.members.size() == 1;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (first) ++stats_.batch_leaders;
-    ++stats_.batch_members;
-  }
-  if (first) bump("serve.batch.leaders");
-  bump("serve.batch.members");
+  if (execution.members.size() == 1) metrics_.batch_leaders.add();
+  metrics_.batch_members.add();
   execution.members.push_back(std::move(member));
   ++joined_;
 }
@@ -671,10 +637,7 @@ void EpollReactor::dispatch(const std::shared_ptr<Execution>& execution) {
   leader->batch_wait_us = leader->dispatch_us - leader->arrived_us;
   if (pool_ == nullptr) {
     const HttpResponse response = run_traced(execution->request, leader);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      --stats_.pending_requests;
-    }
+    pending_.fetch_sub(1, std::memory_order_relaxed);
     deliver(*execution, response);
     return;
   }
@@ -697,10 +660,7 @@ void EpollReactor::drain_completions() {
     done.swap(completions_);
   }
   if (done.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.pending_requests -= std::min(stats_.pending_requests, done.size());
-  }
+  pending_.fetch_sub(done.size(), std::memory_order_relaxed);
   for (const Completion& completion : done)
     deliver(*completion.execution, completion.response);
 }
@@ -841,11 +801,7 @@ void EpollReactor::expire_deadlines() {
       touch(*conn);
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.timeouts;
-    }
-    bump("serve.timeouts");
+    metrics_.timeouts.add();
     if (conn->parser->mid_message()) {
       // Slow-loris: a partial message that ran out its budget gets an
       // explicit 408 before the close.
@@ -878,8 +834,8 @@ void EpollReactor::expire_members() {
       HttpResponse response =
           error_response(504, DeadlineExceeded("cache.wait").what());
       response.set_header("X-Picp-Deadline-Stage", "cache.wait");
-      bump("serve.deadline_exceeded");
-      bump("serve.deadline.stage.cache.wait");
+      metrics_.deadline_exceeded.add();
+      metrics_.deadline_cache_wait.add();
       member.trace->batch_size = execution->members.size();
       answer_member(member, std::move(response));
     }
@@ -893,10 +849,7 @@ void EpollReactor::close_conn(Conn& conn) {
   conn.fd = -1;
   conn.slots.clear();
   conn.base_seq = conn.next_seq;
-  if (conn.counted) {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (stats_.active_connections > 0) --stats_.active_connections;
-  }
+  if (conn.counted) --active_connections_;
   dead_.push_back(conn.id);
 }
 
@@ -952,16 +905,12 @@ HttpResponse EpollReactor::busy_response() const {
 
 void EpollReactor::publish_gauges() {
   if (!telemetry::enabled()) return;
-  auto& reg = telemetry::registry();
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  reg.gauge("serve.active_connections")
-      .set(static_cast<double>(stats_.active_connections));
-  reg.gauge("serve.queue_depth")
-      .set(static_cast<double>(stats_.pending_requests));
+  const std::size_t executions = pending();
+  metrics_.active_connections.set(static_cast<double>(active_connections_));
+  metrics_.queue_depth.set(static_cast<double>(executions));
   // In-flight = handler executions + members joined onto them: everything
   // accepted but not yet answered.
-  reg.gauge("serve.inflight")
-      .set(static_cast<double>(stats_.pending_requests + joined_));
+  metrics_.inflight.set(static_cast<double>(executions + joined_));
 }
 
 }  // namespace picp::serve

@@ -29,6 +29,10 @@
 //   - queue-depth SLO (`max_pending_requests`): shed complete requests
 //     when the number of in-flight handler executions — published as the
 //     `serve.queue_depth` telemetry gauge — is already at the limit.
+//
+// Counts (accepted, shed, timeouts, batch split, ...) live only in the
+// telemetry registry; the reactor resolves each counter once and adds to
+// it on every event, with or without a telemetry session.
 
 #include <atomic>
 #include <chrono>
@@ -44,6 +48,7 @@
 #include "serve/http.hpp"
 #include "serve/http_parser.hpp"
 #include "serve/request_trace.hpp"
+#include "telemetry/registry.hpp"
 #include "util/thread_pool.hpp"
 
 namespace picp::serve {
@@ -77,21 +82,6 @@ struct ReactorOptions {
   /// log hook (and the deterministic observability tests).
   std::function<void(const RequestTrace&)> observer;
   HttpLimits limits;
-};
-
-/// Point-in-time reactor counters (all monotonic except the gauges).
-struct ReactorStats {
-  std::uint64_t accepted = 0;
-  std::uint64_t rejected_busy = 0;    // shed at accept (connection cap)
-  std::uint64_t shed_queue = 0;       // shed at dispatch (queue-depth SLO)
-  std::uint64_t requests = 0;         // complete requests parsed
-  std::uint64_t timeouts = 0;         // 408s + idle keep-alive closes
-  std::uint64_t accept_backoffs = 0;  // EMFILE/ENFILE pauses entered
-  std::uint64_t batch_leaders = 0;    // executions that gained a member
-  std::uint64_t batch_members = 0;    // requests joined onto an execution
-  std::size_t active_connections = 0;
-  std::size_t peak_connections = 0;
-  std::size_t pending_requests = 0;   // handler executions in flight
 };
 
 class EpollReactor {
@@ -133,7 +123,11 @@ class EpollReactor {
   /// Open connections currently registered (tests poll this).
   std::size_t connection_count() const;
 
-  ReactorStats stats() const;
+  /// Handler executions in flight. Safe from any thread: the readiness
+  /// probe reads it on a worker.
+  std::size_t pending() const {
+    return pending_.load(std::memory_order_relaxed);
+  }
 
  private:
   using TimePoint = std::chrono::steady_clock::time_point;
@@ -189,6 +183,25 @@ class EpollReactor {
   struct Completion {
     HttpResponse response;
     std::shared_ptr<Execution> execution;
+  };
+
+  /// The reactor's registry metrics, resolved once at construction.
+  struct Metrics {
+    explicit Metrics(telemetry::MetricsRegistry& registry);
+    telemetry::Counter& accepted;
+    telemetry::Counter& rejected_busy;    // shed at accept (connection cap)
+    telemetry::Counter& shed_queue;       // shed at dispatch (queue SLO)
+    telemetry::Counter& timeouts;         // 408s + idle keep-alive closes
+    telemetry::Counter& accept_backoffs;  // EMFILE/ENFILE pauses entered
+    telemetry::Counter& batch_leaders;    // executions that gained a member
+    telemetry::Counter& batch_members;    // requests joined onto one
+    telemetry::Counter& deadline_exceeded;    // a member's own 504 counts
+    telemetry::Counter& deadline_cache_wait;  // in both
+    telemetry::Gauge& peak_connections;   // high-water mark of counted conns
+    telemetry::Gauge& active_connections;
+    telemetry::Gauge& queue_depth;
+    telemetry::Gauge& inflight;
+    telemetry::Gauge& cycle_us;
   };
 
   TimePoint now() const { return clock_(); }
@@ -283,8 +296,11 @@ class EpollReactor {
   std::mutex completion_mutex_;
   std::vector<Completion> completions_;
 
-  mutable std::mutex stats_mutex_;
-  ReactorStats stats_;
+  /// Connections counted against max_connections (reactor thread only).
+  std::size_t active_connections_ = 0;
+  /// Handler executions in flight: changed on the reactor thread only.
+  std::atomic<std::size_t> pending_{0};
+  const Metrics metrics_;
 };
 
 }  // namespace picp::serve

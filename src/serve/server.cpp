@@ -83,8 +83,7 @@ bool HttpServer::not_ready(std::string* reason) const {
     if (reason != nullptr) *reason = "draining";
     return true;
   }
-  if (reactor_->stats().pending_requests >=
-      options_.reactor.max_pending_requests) {
+  if (reactor_->pending() >= options_.reactor.max_pending_requests) {
     if (reason != nullptr) *reason = "queue saturated";
     return true;
   }
@@ -98,8 +97,7 @@ void HttpServer::run() {
   reactor_->listen_on(listen_fd_);
   reactor_->run();
   pool_->wait_idle();
-  PICP_LOG_INFO << "server stopped after " << stats().requests
-                << " request(s)";
+  PICP_LOG_INFO << "server stopped";
 }
 
 }  // namespace picp::serve

@@ -62,8 +62,6 @@ class HttpServer {
   /// Async-signal-safe: one write(2) to the reactor's wake pipe.
   void request_shutdown();
 
-  ReactorStats stats() const { return reactor_->stats(); }
-
   /// True when the daemon should be taken out of rotation: draining, or
   /// the queue-depth SLO is saturated. `reason` (optional) says which.
   bool not_ready(std::string* reason) const;

@@ -1,7 +1,10 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
+#include <array>
 #include <fstream>
 #include <iterator>
+#include <string_view>
 
 #include "mapping/mapper.hpp"
 #include "telemetry/manifest.hpp"
@@ -38,6 +41,12 @@ std::string json_line(const Json& json) { return json.dump() + "\n"; }
 /// trace's sample count, and exactly representable as a double.
 constexpr double kMaxIntervalCount = 1e9;
 
+/// The fields a request body may set. Any other key is a 400: answered as
+/// the defaults, a misspelled field would be cached and coalesced under
+/// the defaults' key.
+constexpr std::array<std::string_view, 5> kRequestFields = {
+    "ranks", "mapper", "filter", "interval_stride", "max_intervals"};
+
 /// Largest body coalesce_key() parses. The key is computed on the reactor
 /// thread, where parsing a multi-megabyte body would stall every
 /// connection (a 4 MiB array of numbers took ~0.3 s on a 4-core VM); a
@@ -67,6 +76,48 @@ std::uint64_t file_identity(const std::string& path) {
   const std::string bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
   return crc32c(bytes.data(), bytes.size());
+}
+
+/// One /v1/predict row: the simulated prediction for one config.
+Json predict_row(const PredictionPipeline& pipeline,
+                 const PredictionConfig& config,
+                 const WorkloadResult& workload) {
+  SimReport sim;
+  {
+    const telemetry::ScopedSpan stage("simulate", "serve");
+    sim = pipeline.simulate_workload(workload, config);
+  }
+  const telemetry::ScopedSpan stage("render", "serve");
+  Json row = Json::object();
+  row.set("ranks", Json(static_cast<std::int64_t>(config.num_ranks)));
+  row.set("mapper", Json(config.mapper_kind));
+  row.set("filter", Json(config.filter_size));
+  row.set("predicted_seconds", Json(sim.total_seconds));
+  row.set("critical_path_seconds", Json(sim.critical_path_seconds));
+  row.set("des_events", Json(sim.events));
+  row.set("intervals",
+          Json(static_cast<std::uint64_t>(workload.num_intervals())));
+  return row;
+}
+
+/// One /v1/workload row: the workload statistics of one config.
+Json workload_row(const PredictionConfig& config,
+                  const WorkloadResult& workload) {
+  const telemetry::ScopedSpan stage("render", "serve");
+  const UtilizationStats stats = utilization(workload.comp_real);
+  Json row = Json::object();
+  row.set("ranks", Json(static_cast<std::int64_t>(config.num_ranks)));
+  row.set("mapper", Json(config.mapper_kind));
+  row.set("filter", Json(config.filter_size));
+  row.set("intervals",
+          Json(static_cast<std::uint64_t>(workload.num_intervals())));
+  row.set("peak_particles_per_rank", Json(stats.peak_load));
+  row.set("mean_active_fraction", Json(stats.mean_active_fraction));
+  row.set("ever_active_ranks",
+          Json(static_cast<std::int64_t>(stats.ever_active)));
+  row.set("migrated_particles", Json(workload.comm_real.total_volume()));
+  row.set("ghost_transfers", Json(workload.comm_ghost.total_volume()));
+  return row;
 }
 
 }  // namespace
@@ -108,16 +159,18 @@ PredictionService::PredictionService(const ServiceConfig& config)
       trace_identity_(trace_identity(trace_)),
       mesh_(trace_.header().domain, config.nelx, config.nely, config.nelz,
             config.points_per_dim),
-      workload_cache_(config.workload_cache_capacity),
+      workload_cache_(config.workload_cache_capacity, "serve.cache.workload"),
       response_cache_(
-          config.response_cache_capacity, config.cache_dir,
+          config.response_cache_capacity, "serve.cache.response",
+          config.cache_dir,
           {[](const std::string& body) { return body; },
            [](const std::string& bytes) {
              // A spilled response must still be the JSON we produced; a
              // truncated file would otherwise be replayed verbatim.
              Json::parse(bytes);
              return bytes;
-           }}) {
+           }},
+          config.allow_stale) {
   if (!config_.failpoints.empty()) failpoint::arm_many(config_.failpoints);
   if (!config_.models_path.empty()) {
     models_ = ModelSet::load(config_.models_path);
@@ -206,6 +259,12 @@ std::vector<PredictionConfig> PredictionService::parse_request(
   }
   if (!request.is_object())
     throw BadRequest("request body must be a JSON object");
+  for (const auto& [key, value] : request.members())
+    if (std::find(kRequestFields.begin(), kRequestFields.end(), key) ==
+        kRequestFields.end())
+      throw BadRequest("unknown field \"" + key +
+                       "\"; a request may set ranks, mapper, filter, "
+                       "interval_stride and max_intervals");
 
   PredictionConfig base;
   base.mapper_kind = config_.default_mapper;
@@ -261,8 +320,7 @@ std::vector<PredictionConfig> PredictionService::parse_request(
 
 std::shared_ptr<const WorkloadResult> PredictionService::workload_for(
     const PredictionConfig& config) {
-  bool from_cache = false;
-  auto workload = workload_cache_.get_or_compute(
+  return workload_cache_.get_or_compute(
       workload_fingerprint(config),
       [this, &config] {
         failpoint::inject("serve.generate");
@@ -273,14 +331,7 @@ std::shared_ptr<const WorkloadResult> PredictionService::workload_for(
           telemetry::registry().counter("serve.workload.generations").add();
         TraceReader cursor = trace_;
         return pipeline_->generate_workload(cursor, config);
-      },
-      &from_cache);
-  if (telemetry::enabled())
-    telemetry::registry()
-        .counter(from_cache ? "serve.cache.workload.hits"
-                            : "serve.cache.workload.misses")
-        .add();
-  return workload;
+      });
 }
 
 Json PredictionService::handle_healthz() {
@@ -297,7 +348,6 @@ Json PredictionService::handle_healthz() {
 }
 
 Json PredictionService::handle_metricsz() {
-  publish_cache_counters();
   Json body = Json::object();
   body.set("metrics",
            telemetry::metrics_to_json(telemetry::registry().snapshot()));
@@ -396,11 +446,12 @@ HttpResponse PredictionService::handle_failpoints(
   return response;
 }
 
-std::string PredictionService::handle_predict(const std::string& body,
-                                              bool* from_cache,
-                                              const Deadline& deadline,
-                                              bool* degraded) {
-  if (!models_loaded_)
+std::string PredictionService::handle_query(bool predict,
+                                            const std::string& body,
+                                            const Deadline& deadline,
+                                            bool* from_cache,
+                                            bool* degraded) {
+  if (predict && !models_loaded_)
     throw BadRequest(
         "no models loaded (start the daemon with serve.models set) — "
         "/v1/workload is still available");
@@ -411,115 +462,21 @@ std::string PredictionService::handle_predict(const std::string& body,
   // subtract themselves out, so a hit shows pure cache time and a miss
   // shows only the cache machinery.
   const telemetry::ScopedSpan cache_stage("cache", "serve");
-  auto rendered = response_cache_.get_or_compute(
-      response_key(/*predict=*/true, configs),
-      [this, &configs] {
+  return *response_cache_.get_or_compute(
+      response_key(predict, configs),
+      [this, predict, &configs] {
         Json results = Json::array();
         for (const PredictionConfig& config : configs) {
           const auto workload = workload_for(config);
-          SimReport sim;
-          {
-            const telemetry::ScopedSpan stage("simulate", "serve");
-            sim = pipeline_->simulate_workload(*workload, config);
-          }
-          const telemetry::ScopedSpan stage("render", "serve");
-          Json row = Json::object();
-          row.set("ranks", Json(static_cast<std::int64_t>(config.num_ranks)));
-          row.set("mapper", Json(config.mapper_kind));
-          row.set("filter", Json(config.filter_size));
-          row.set("predicted_seconds", Json(sim.total_seconds));
-          row.set("critical_path_seconds", Json(sim.critical_path_seconds));
-          row.set("des_events", Json(sim.events));
-          row.set("intervals",
-                  Json(static_cast<std::uint64_t>(workload->num_intervals())));
-          results.push_back(std::move(row));
+          results.push_back(predict ? predict_row(*pipeline_, config, *workload)
+                                    : workload_row(config, *workload));
         }
         const telemetry::ScopedSpan stage("render", "serve");
         Json reply = Json::object();
         reply.set("results", std::move(results));
         return json_line(reply);
       },
-      from_cache, config_.allow_stale, degraded);
-  if (telemetry::enabled())
-    telemetry::registry()
-        .counter(*from_cache ? "serve.cache.response.hits"
-                             : "serve.cache.response.misses")
-        .add();
-  return *rendered;
-}
-
-std::string PredictionService::handle_workload(const std::string& body,
-                                               bool* from_cache,
-                                               const Deadline& deadline,
-                                               bool* degraded) {
-  std::vector<PredictionConfig> configs = parse_request(body);
-  for (PredictionConfig& config : configs) config.deadline = deadline;
-
-  const telemetry::ScopedSpan cache_stage("cache", "serve");
-  auto rendered = response_cache_.get_or_compute(
-      response_key(/*predict=*/false, configs),
-      [this, &configs] {
-        Json results = Json::array();
-        for (const PredictionConfig& config : configs) {
-          const auto workload = workload_for(config);
-          const telemetry::ScopedSpan stage("render", "serve");
-          const UtilizationStats stats = utilization(workload->comp_real);
-          Json row = Json::object();
-          row.set("ranks", Json(static_cast<std::int64_t>(config.num_ranks)));
-          row.set("mapper", Json(config.mapper_kind));
-          row.set("filter", Json(config.filter_size));
-          row.set("intervals",
-                  Json(static_cast<std::uint64_t>(workload->num_intervals())));
-          row.set("peak_particles_per_rank", Json(stats.peak_load));
-          row.set("mean_active_fraction", Json(stats.mean_active_fraction));
-          row.set("ever_active_ranks",
-                  Json(static_cast<std::int64_t>(stats.ever_active)));
-          row.set("migrated_particles",
-                  Json(workload->comm_real.total_volume()));
-          row.set("ghost_transfers",
-                  Json(workload->comm_ghost.total_volume()));
-          results.push_back(std::move(row));
-        }
-        Json reply = Json::object();
-        reply.set("results", std::move(results));
-        return json_line(reply);
-      },
-      from_cache, config_.allow_stale, degraded);
-  if (telemetry::enabled())
-    telemetry::registry()
-        .counter(*from_cache ? "serve.cache.response.hits"
-                             : "serve.cache.response.misses")
-        .add();
-  return *rendered;
-}
-
-void PredictionService::publish_cache_counters() {
-  if (!telemetry::enabled()) return;
-  auto& reg = telemetry::registry();
-  const ArtifactCacheStats workload = workload_cache_.stats();
-  const ArtifactCacheStats response = response_cache_.stats();
-  reg.gauge("serve.cache.workload.resident")
-      .set(static_cast<double>(workload_cache_.size()));
-  reg.gauge("serve.cache.workload.evictions")
-      .set(static_cast<double>(workload.evictions));
-  reg.gauge("serve.cache.response.resident")
-      .set(static_cast<double>(response_cache_.size()));
-  reg.gauge("serve.cache.response.evictions")
-      .set(static_cast<double>(response.evictions));
-  reg.gauge("serve.cache.response.disk_hits")
-      .set(static_cast<double>(response.disk_hits));
-  // Robustness counters: all must read zero when no failpoint is armed
-  // and no spill file was corrupted — check_chaos.sh asserts exactly that.
-  reg.gauge("serve.cache.response.quarantined")
-      .set(static_cast<double>(response.quarantined));
-  reg.gauge("serve.cache.response.stale_served")
-      .set(static_cast<double>(response.stale_served));
-  reg.gauge("serve.cache.response.spill_failures")
-      .set(static_cast<double>(response.spill_failures));
-  reg.gauge("serve.cache.workload.stale_served")
-      .set(static_cast<double>(workload.stale_served));
-  reg.gauge("failpoint.armed")
-      .set(static_cast<double>(failpoint::list().size()));
+      from_cache, degraded);
 }
 
 HttpResponse PredictionService::handle(const HttpRequest& request) {
@@ -596,8 +553,11 @@ HttpResponse PredictionService::handle_routed(const HttpRequest& request,
       }
       response.body = json_line(handle_healthz());
     } else if (path == "/metricsz") {
+      // The one value read at scrape time; every count is current in the
+      // registry already.
+      telemetry::registry().gauge("failpoint.armed")
+          .set(static_cast<double>(failpoint::list().size()));
       if (query_param(request.target, "format") == "prometheus") {
-        publish_cache_counters();
         response.body = telemetry::to_prometheus_text(
             telemetry::registry().snapshot());
         response.set_header("Content-Type",
@@ -620,10 +580,8 @@ HttpResponse PredictionService::handle_routed(const HttpRequest& request,
     }
     bool from_cache = false;
     bool degraded = false;
-    response.body =
-        path == "/v1/predict"
-            ? handle_predict(request.body, &from_cache, deadline, &degraded)
-            : handle_workload(request.body, &from_cache, deadline, &degraded);
+    response.body = handle_query(path == "/v1/predict", request.body,
+                                 deadline, &from_cache, &degraded);
     response.set_header("X-Picp-Cache", from_cache ? "hit" : "miss");
     if (degraded) {
       response.set_header("X-Picp-Degraded", "stale");

@@ -109,10 +109,11 @@ class PredictionService {
   Json handle_metricsz();
   Json handle_models();
   HttpResponse handle_failpoints(const HttpRequest& request);
-  std::string handle_predict(const std::string& body, bool* from_cache,
-                             const Deadline& deadline, bool* degraded);
-  std::string handle_workload(const std::string& body, bool* from_cache,
-                              const Deadline& deadline, bool* degraded);
+  /// A /v1/predict (`predict`) or /v1/workload body's reply, from the
+  /// response tier or rendered one row per config.
+  std::string handle_query(bool predict, const std::string& body,
+                           const Deadline& deadline, bool* from_cache,
+                           bool* degraded);
 
   /// Parse + validate the request body into per-rank-count configs.
   std::vector<PredictionConfig> parse_request(const std::string& body) const;
@@ -123,7 +124,6 @@ class PredictionService {
   std::shared_ptr<const WorkloadResult> workload_for(
       const PredictionConfig& config);
   std::uint64_t workload_fingerprint(const PredictionConfig& config) const;
-  void publish_cache_counters();
 
   ServiceConfig config_;
   /// Opened once; every generation reads through its own copy.
@@ -138,6 +138,8 @@ class PredictionService {
   std::unique_ptr<PredictionPipeline> pipeline_;
 
   ReadinessProbe readiness_probe_;
+  /// Only the response tier serves stale values (serve.allow_stale), so
+  /// only it may keep a stale tier.
   ArtifactCache<WorkloadResult> workload_cache_;
   ArtifactCache<std::string> response_cache_;
   std::chrono::steady_clock::time_point started_ =

@@ -8,11 +8,13 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
 #include "serve/artifact_cache.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -28,8 +30,25 @@ std::string temp_dir(const std::string& name) {
   return dir;
 }
 
+/// The counter family of the running test's caches, zeroed first so every
+/// count the test reads is its own.
+std::string test_family() {
+  const std::string family =
+      std::string("test.cache.") +
+      testing::UnitTest::GetInstance()->current_test_info()->name();
+  for (const char* name : {"hits", "disk_hits", "stale_served", "misses",
+                           "evictions", "quarantined", "spill_failures"})
+    telemetry::registry().counter(family + "." + name).reset();
+  return family;
+}
+
+std::uint64_t count(const std::string& family, const char* name) {
+  return telemetry::registry().counter(family + "." + name).value();
+}
+
 TEST(ArtifactCache, MissComputesThenHitServesWithoutRecomputing) {
-  ArtifactCache<int> cache(4);
+  const std::string family = test_family();
+  ArtifactCache<int> cache(4, family);
   int computes = 0;
   bool from_cache = true;
   auto first = cache.get_or_compute(7, [&] { ++computes; return 41; },
@@ -41,12 +60,13 @@ TEST(ArtifactCache, MissComputesThenHitServesWithoutRecomputing) {
   EXPECT_EQ(*second, 41);
   EXPECT_TRUE(from_cache);
   EXPECT_EQ(computes, 1);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(count(family, "hits"), 1u);
+  EXPECT_EQ(count(family, "misses"), 1u);
 }
 
 TEST(ArtifactCache, LruEvictsLeastRecentlyTouchedKey) {
-  ArtifactCache<int> cache(2);
+  const std::string family = test_family();
+  ArtifactCache<int> cache(2, family);
   int computes = 0;
   const auto fill = [&](std::uint64_t key) {
     return *cache.get_or_compute(key, [&] { ++computes; return int(key); });
@@ -56,7 +76,7 @@ TEST(ArtifactCache, LruEvictsLeastRecentlyTouchedKey) {
   fill(1);  // touch 1 so 2 becomes the LRU victim
   fill(3);  // evicts 2
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(count(family, "evictions"), 1u);
   computes = 0;
   fill(1);
   fill(3);
@@ -70,7 +90,8 @@ TEST(ArtifactCache, EvictedEntriesSpillToDiskAndRepopulate) {
   ArtifactCache<std::string>::SpillHooks hooks;
   hooks.encode = [](const std::string& v) { return v; };
   hooks.decode = [](const std::string& bytes) { return bytes; };
-  ArtifactCache<std::string> cache(1, dir, hooks);
+  const std::string family = test_family();
+  ArtifactCache<std::string> cache(1, family, dir, hooks);
 
   cache.get_or_compute(1, [] { return std::string("one"); });
   cache.get_or_compute(2, [] { return std::string("two"); });  // evicts 1
@@ -83,7 +104,7 @@ TEST(ArtifactCache, EvictedEntriesSpillToDiskAndRepopulate) {
   EXPECT_EQ(*revived, "one") << "disk tier should have served the artifact";
   EXPECT_EQ(computes, 0);
   EXPECT_TRUE(from_cache);
-  EXPECT_EQ(cache.stats().disk_hits, 1u);
+  EXPECT_EQ(count(family, "disk_hits"), 1u);
   fs::remove_all(dir);
 }
 
@@ -95,7 +116,8 @@ TEST(ArtifactCache, CorruptSpillFileFallsBackToCompute) {
     if (bytes.rfind("ok:", 0) != 0) throw Error("corrupt spill artifact");
     return bytes.substr(3);
   };
-  ArtifactCache<std::string> cache(1, dir, hooks);
+  const std::string family = test_family();
+  ArtifactCache<std::string> cache(1, family, dir, hooks);
 
   // Plant garbage where key 9's spill would live.
   fs::create_directories(dir);
@@ -108,14 +130,15 @@ TEST(ArtifactCache, CorruptSpillFileFallsBackToCompute) {
   EXPECT_EQ(*value, "fresh");
   EXPECT_EQ(computes, 1);
   EXPECT_FALSE(from_cache);
-  EXPECT_EQ(cache.stats().disk_hits, 0u);
+  EXPECT_EQ(count(family, "disk_hits"), 0u);
   fs::remove_all(dir);
 }
 
 TEST(ArtifactCache, ConcurrentComputesOfOneKeyLeaveOneResidentEntry) {
   // No single-flight: both callers miss and compute, both get a value,
   // and the cache ends with one resident entry that later callers hit.
-  ArtifactCache<std::string> cache(4);
+  const std::string family = test_family();
+  ArtifactCache<std::string> cache(4, family);
   std::mutex gate_mutex;
   std::condition_variable gate_cv;
   int computing = 0;
@@ -144,7 +167,7 @@ TEST(ArtifactCache, ConcurrentComputesOfOneKeyLeaveOneResidentEntry) {
   EXPECT_EQ(results[0].get(), results[1].get())
       << "both callers must return the one resident value";
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(count(family, "misses"), 2u);
   bool hit = false;
   EXPECT_EQ(cache.get_or_compute(3, [] { return std::string("x"); }, &hit)
                 .get(),
@@ -153,7 +176,7 @@ TEST(ArtifactCache, ConcurrentComputesOfOneKeyLeaveOneResidentEntry) {
 }
 
 TEST(ArtifactCache, ZeroCapacityIsClampedToOne) {
-  ArtifactCache<int> cache(0);
+  ArtifactCache<int> cache(0, test_family());
   cache.get_or_compute(1, [] { return 1; });
   EXPECT_EQ(cache.size(), 1u);
   bool from_cache = false;
@@ -177,15 +200,16 @@ TEST(ArtifactCache, FailedSpillNeverLeavesTruncatedReplayableEntry) {
   // publish a torn .art file that a later miss could replay. The eviction
   // itself must survive and be counted.
   const std::string dir = temp_dir("shortspill");
-  ArtifactCache<std::string> cache(1, dir, identity_hooks());
+  const std::string family = test_family();
+  ArtifactCache<std::string> cache(1, family, dir, identity_hooks());
   cache.get_or_compute(1, [] { return std::string("first"); });
 
   failpoint::arm("atomicfile.write=partial_write(4)");
   cache.get_or_compute(2, [] { return std::string("second"); });  // evicts 1
   failpoint::disarm_all();
 
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().spill_failures, 1u);
+  EXPECT_EQ(count(family, "evictions"), 1u);
+  EXPECT_EQ(count(family, "spill_failures"), 1u);
   EXPECT_FALSE(fs::exists(cache.spill_path(1)))
       << "torn spill must not be published";
   for (const auto& item : fs::directory_iterator(dir))
@@ -205,12 +229,13 @@ TEST(ArtifactCache, FailedSpillNeverLeavesTruncatedReplayableEntry) {
 
 TEST(ArtifactCache, InjectedSpillErrorIsToleratedAndCounted) {
   const std::string dir = temp_dir("spillerr");
-  ArtifactCache<std::string> cache(1, dir, identity_hooks());
+  const std::string family = test_family();
+  ArtifactCache<std::string> cache(1, family, dir, identity_hooks());
   cache.get_or_compute(1, [] { return std::string("one"); });
   failpoint::arm("cache.spill=errno(28)");  // ENOSPC
   cache.get_or_compute(2, [] { return std::string("two"); });
   failpoint::disarm_all();
-  EXPECT_EQ(cache.stats().spill_failures, 1u);
+  EXPECT_EQ(count(family, "spill_failures"), 1u);
   EXPECT_FALSE(fs::exists(cache.spill_path(1)));
   fs::remove_all(dir);
 }
@@ -221,7 +246,8 @@ TEST(ArtifactCache, BootScanQuarantinesCorruptSpillEntries) {
   // quarantined — moved, not deleted — counted, and regenerated once.
   const std::string dir = temp_dir("bootscan");
   {
-    ArtifactCache<std::string> cache(1, dir, identity_hooks());
+    ArtifactCache<std::string> cache(1, test_family(), dir,
+                                     identity_hooks());
     cache.get_or_compute(1, [] { return std::string("good one"); });
     cache.get_or_compute(2, [] { return std::string("good two"); });
     ASSERT_TRUE(fs::exists(cache.spill_path(1)));
@@ -237,8 +263,9 @@ TEST(ArtifactCache, BootScanQuarantinesCorruptSpillEntries) {
     f.put('\xFF');
   }
 
-  ArtifactCache<std::string> reborn(1, dir, identity_hooks());
-  EXPECT_EQ(reborn.stats().quarantined, 1u);
+  const std::string family = test_family();
+  ArtifactCache<std::string> reborn(1, family, dir, identity_hooks());
+  EXPECT_EQ(count(family, "quarantined"), 1u);
   EXPECT_FALSE(fs::exists(path)) << "corrupt entry must leave the spill dir";
   EXPECT_TRUE(
       fs::exists(fs::path(reborn.quarantine_dir()) / fs::path(path).filename()))
@@ -260,15 +287,17 @@ TEST(ArtifactCache, BootScanQuarantinesOrphanedTempFiles) {
   fs::create_directories(dir);
   std::ofstream(dir + "/0000000000000005.art.tmp", std::ios::binary)
       << "half a spill";
-  ArtifactCache<std::string> cache(1, dir, identity_hooks());
-  EXPECT_EQ(cache.stats().quarantined, 1u);
+  const std::string family = test_family();
+  ArtifactCache<std::string> cache(1, family, dir, identity_hooks());
+  EXPECT_EQ(count(family, "quarantined"), 1u);
   EXPECT_FALSE(fs::exists(dir + "/0000000000000005.art.tmp"));
   fs::remove_all(dir);
 }
 
 TEST(ArtifactCache, RuntimeCorruptionQuarantinesInsteadOfReplaying) {
   const std::string dir = temp_dir("runtimequar");
-  ArtifactCache<std::string> cache(1, dir, identity_hooks());
+  const std::string family = test_family();
+  ArtifactCache<std::string> cache(1, family, dir, identity_hooks());
   cache.get_or_compute(3, [] { return std::string("spilled"); });
   cache.get_or_compute(4, [] { return std::string("evictor"); });
   const std::string path = cache.spill_path(3);
@@ -283,13 +312,15 @@ TEST(ArtifactCache, RuntimeCorruptionQuarantinesInsteadOfReplaying) {
       cache.get_or_compute(3, [&] { ++computes; return std::string("new"); });
   EXPECT_EQ(*value, "new");
   EXPECT_EQ(computes, 1);
-  EXPECT_EQ(cache.stats().quarantined, 1u);
+  EXPECT_EQ(count(family, "quarantined"), 1u);
   EXPECT_FALSE(fs::exists(path));
   fs::remove_all(dir);
 }
 
 TEST(ArtifactCache, StaleTierServesDegradedWhenComputeFails) {
-  ArtifactCache<std::string> cache(1);  // no disk tier: memory + stale only
+  // No disk tier: memory + stale only.
+  const std::string family = test_family();
+  ArtifactCache<std::string> cache(1, family, "", {}, /*stale_tier=*/true);
   cache.get_or_compute(1, [] { return std::string("last good"); });
   cache.get_or_compute(2, [] { return std::string("evictor"); });  // 1 gone
 
@@ -297,24 +328,23 @@ TEST(ArtifactCache, StaleTierServesDegradedWhenComputeFails) {
   bool degraded = false;
   auto value = cache.get_or_compute(
       1, [&]() -> std::string { throw Error("backend down"); }, &from_cache,
-      /*allow_stale=*/true, &degraded);
+      &degraded);
   EXPECT_EQ(*value, "last good");
   EXPECT_TRUE(degraded);
   EXPECT_TRUE(from_cache);
-  EXPECT_EQ(cache.stats().stale_served, 1u);
+  EXPECT_EQ(count(family, "stale_served"), 1u);
 
   // The slot is freed: the next request retries a fresh compute instead of
   // serving stale forever.
   degraded = false;
   auto healed = cache.get_or_compute(
-      1, [] { return std::string("fresh again"); }, &from_cache, true,
-      &degraded);
+      1, [] { return std::string("fresh again"); }, &from_cache, &degraded);
   EXPECT_EQ(*healed, "fresh again");
   EXPECT_FALSE(degraded);
 }
 
 TEST(ArtifactCache, ComputeFailureWithoutStalePermissionStillThrows) {
-  ArtifactCache<std::string> cache(1);
+  ArtifactCache<std::string> cache(1, test_family());
   cache.get_or_compute(1, [] { return std::string("good"); });
   cache.get_or_compute(2, [] { return std::string("evictor"); });
   EXPECT_THROW(cache.get_or_compute(
@@ -324,7 +354,8 @@ TEST(ArtifactCache, ComputeFailureWithoutStalePermissionStillThrows) {
 
 TEST(ArtifactCache, DeadlineExpiryNeverServesStale) {
   // Stale-on-timeout would disguise a 504 as a 200: the deadline must win.
-  ArtifactCache<std::string> cache(1);
+  const std::string family = test_family();
+  ArtifactCache<std::string> cache(1, family, "", {}, /*stale_tier=*/true);
   cache.get_or_compute(1, [] { return std::string("good"); });
   cache.get_or_compute(2, [] { return std::string("evictor"); });
   bool degraded = false;
@@ -332,13 +363,23 @@ TEST(ArtifactCache, DeadlineExpiryNeverServesStale) {
     cache.get_or_compute(
         1,
         []() -> std::string { throw DeadlineExceeded("generate.partition"); },
-        nullptr, /*allow_stale=*/true, &degraded);
+        nullptr, &degraded);
     FAIL() << "expired deadline must throw";
   } catch (const DeadlineExceeded& e) {
     EXPECT_EQ(e.stage(), "generate.partition");
   }
   EXPECT_FALSE(degraded);
-  EXPECT_EQ(cache.stats().stale_served, 0u);
+  EXPECT_EQ(count(family, "stale_served"), 0u);
+}
+
+TEST(ArtifactCache, ACacheWithoutTheStaleTierKeepsNoEvictedValueAlive) {
+  // Nothing can read an evicted value back from a cache without a stale
+  // tier, so nothing may keep it alive there.
+  ArtifactCache<std::string> cache(1, test_family());
+  std::weak_ptr<const std::string> evicted =
+      cache.get_or_compute(1, [] { return std::string("first"); });
+  cache.get_or_compute(2, [] { return std::string("evictor"); });
+  EXPECT_TRUE(evicted.expired());
 }
 
 }  // namespace

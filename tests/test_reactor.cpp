@@ -129,8 +129,24 @@ HttpResponse echo_handler(const HttpRequest& request) {
   return response;
 }
 
+/// A reactor count: every count lives in the telemetry registry.
+std::uint64_t count(const char* name) {
+  return telemetry::registry().counter(name).value();
+}
+
+/// Requests answered: the summed count of the serve.red.total_us.*
+/// histograms, where every finished request lands once.
+std::uint64_t red_requests() {
+  std::uint64_t total = 0;
+  for (const auto& h : telemetry::registry().snapshot().histograms)
+    if (h.name.rfind("serve.red.total_us.", 0) == 0) total += h.count;
+  return total;
+}
+
 class ReactorTest : public testing::Test {
  protected:
+  // An in-memory session: every count starts at zero.
+  void SetUp() override { telemetry::configure(telemetry::SessionOptions{}); }
   void TearDown() override { failpoint::disarm_all(); }
 
   ReactorOptions quick_options() {
@@ -275,7 +291,7 @@ TEST_F(ReactorTest, PartialReadsAssembleOneRequest) {
   EXPECT_EQ(responses[0].status, 200);
   EXPECT_EQ(responses[0].body, "GET /healthz|");
   EXPECT_FALSE(peer.closed()) << "keep-alive connection was closed";
-  EXPECT_EQ(reactor_->stats().requests, 1u);
+  EXPECT_EQ(red_requests(), 1u);
 }
 
 TEST_F(ReactorTest, BodyArrivingByteByByteCompletesTheRequest) {
@@ -310,7 +326,7 @@ TEST_F(ReactorTest, PipelinedBurstAnswersInOrderOnOneConnection) {
   EXPECT_EQ(responses[1].body, "POST /b|bb");
   EXPECT_EQ(responses[2].body, "GET /c|");
   EXPECT_FALSE(peer.closed());
-  EXPECT_EQ(reactor_->stats().requests, 3u);
+  EXPECT_EQ(red_requests(), 3u);
 }
 
 TEST_F(ReactorTest, MalformedRequestGets400ThenClose) {
@@ -356,7 +372,7 @@ TEST_F(ReactorTest, SlowLorisGets408AtTheReceiveBudget) {
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].status, 408);
   EXPECT_TRUE(peer.closed());
-  EXPECT_EQ(reactor_->stats().timeouts, 1u);
+  EXPECT_EQ(count("serve.timeouts"), 1u);
 }
 
 TEST_F(ReactorTest, DribblingBytesDoesNotExtendTheMessageDeadline) {
@@ -389,7 +405,7 @@ TEST_F(ReactorTest, IdleKeepAliveExpiresSilently) {
   EXPECT_TRUE(peer.take_responses().empty())
       << "idle expiry must not write anything";
   EXPECT_TRUE(peer.closed());
-  EXPECT_EQ(reactor_->stats().timeouts, 1u);
+  EXPECT_EQ(count("serve.timeouts"), 1u);
 }
 
 TEST_F(ReactorTest, CompletedRequestResetsTheIdleBudget) {
@@ -459,9 +475,8 @@ TEST_F(ReactorTest, ConnectionCapShedsWith503RetryAfter) {
   first.send("GET / HTTP/1.1\r\n\r\n");
   cycle({&first});
   EXPECT_EQ(first.take_responses().size(), 1u);
-  const ReactorStats stats = reactor_->stats();
-  EXPECT_EQ(stats.accepted, 1u);
-  EXPECT_EQ(stats.rejected_busy, 1u);
+  EXPECT_EQ(count("serve.accepted"), 1u);
+  EXPECT_EQ(count("serve.rejected_busy"), 1u);
 }
 
 TEST_F(ReactorTest, EmfileBackoffPausesAcceptThenRecovers) {
@@ -473,19 +488,19 @@ TEST_F(ReactorTest, EmfileBackoffPausesAcceptThenRecovers) {
   failpoint::arm("http.accept=errno(24):times1");
   Peer peer(connect_tcp("127.0.0.1", port));
   cycle();
-  EXPECT_EQ(reactor_->stats().accept_backoffs, 1u);
-  EXPECT_EQ(reactor_->stats().accepted, 0u)
+  EXPECT_EQ(count("serve.accept_backoffs"), 1u);
+  EXPECT_EQ(count("serve.accepted"), 0u)
       << "EMFILE must pause accepts, not half-accept";
 
   // Still inside the backoff window: nothing accepted.
   advance_ms(99);
   cycle();
-  EXPECT_EQ(reactor_->stats().accepted, 0u);
+  EXPECT_EQ(count("serve.accepted"), 0u);
 
   // Past the window: the connection that waited in the backlog is served.
   advance_ms(2);
   cycle();
-  EXPECT_EQ(reactor_->stats().accepted, 1u);
+  EXPECT_EQ(count("serve.accepted"), 1u);
   peer.send("GET / HTTP/1.1\r\n\r\n");
   cycle({&peer});
   const auto responses = peer.take_responses();
@@ -507,7 +522,7 @@ TEST_F(ReactorTest, QueueDepthSloShedsCompleteRequests) {
   EXPECT_EQ(responses[0].status, 503);
   ASSERT_NE(responses[0].header("retry-after"), nullptr);
   EXPECT_TRUE(peer.closed());
-  EXPECT_EQ(reactor_->stats().shed_queue, 1u);
+  EXPECT_EQ(count("serve.shed_queue"), 1u);
 }
 
 // --- batching ---------------------------------------------------------------
@@ -541,10 +556,9 @@ TEST_F(ReactorTest, SameCycleIdenticalRequestsShareOneExecution) {
   }
   EXPECT_EQ(bodies[0], bodies[1]);
   EXPECT_EQ(bodies[1], bodies[2]);
-  const ReactorStats stats = reactor_->stats();
-  EXPECT_EQ(stats.batch_leaders, 1u);
-  EXPECT_EQ(stats.batch_members, 2u);
-  EXPECT_EQ(stats.requests, 3u);
+  EXPECT_EQ(count("serve.batch.leaders"), 1u);
+  EXPECT_EQ(count("serve.batch.members"), 2u);
+  EXPECT_EQ(red_requests(), 3u);
 }
 
 TEST_F(ReactorTest, BatchWindowHoldsTheLeaderForLateTwins) {
@@ -563,7 +577,7 @@ TEST_F(ReactorTest, BatchWindowHoldsTheLeaderForLateTwins) {
   cycle({&a, &b});
   EXPECT_TRUE(a.take_responses().empty());
   EXPECT_TRUE(b.take_responses().empty());
-  EXPECT_EQ(reactor_->stats().batch_members, 1u);
+  EXPECT_EQ(count("serve.batch.members"), 1u);
 
   gate_.open();
   std::vector<HttpResponse> got_a, got_b;
@@ -578,9 +592,8 @@ TEST_F(ReactorTest, BatchWindowHoldsTheLeaderForLateTwins) {
   ASSERT_EQ(got_b.size(), 1u);
   EXPECT_EQ(got_a[0].body, got_b[0].body);
   EXPECT_EQ(gate_.blocked.load(), 1) << "the twin ran a second execution";
-  const ReactorStats stats = reactor_->stats();
-  EXPECT_EQ(stats.batch_leaders, 1u);
-  EXPECT_EQ(stats.batch_members, 1u);
+  EXPECT_EQ(count("serve.batch.leaders"), 1u);
+  EXPECT_EQ(count("serve.batch.members"), 1u);
 }
 
 TEST_F(ReactorTest, MemberPastItsOwnDeadlineGets504WhileTheLeaderRuns) {
@@ -656,7 +669,7 @@ TEST_F(ReactorTest, DifferentDeadlineHeadersNeverCoalesce) {
   cycle({&a, &b});
   EXPECT_EQ(executions, 2)
       << "a tighter deadline must not ride a looser execution";
-  EXPECT_EQ(reactor_->stats().batch_members, 0u);
+  EXPECT_EQ(count("serve.batch.members"), 0u);
 }
 
 // --- worker-pool dispatch ----------------------------------------------------
@@ -793,6 +806,8 @@ class ReactorServiceTest : public ReactorTest {
   /// the leader's bytes; a later solo request replays them exactly.
   void identical_storm_costs_exactly_one_generation() {
     const std::uint64_t before = generations();
+    const std::uint64_t leaders_before = count("serve.batch.leaders");
+    const std::uint64_t members_before = count("serve.batch.members");
     constexpr std::size_t kPeers = 6;
     const std::string wire = workload_wire("6");
     const std::vector<HttpResponse> responses =
@@ -803,9 +818,8 @@ class ReactorServiceTest : public ReactorTest {
           << "member " << i << " got a different body";
     }
     EXPECT_EQ(generations() - before, 1u);
-    const ReactorStats stats = reactor_->stats();
-    EXPECT_EQ(stats.batch_leaders, 1u);
-    EXPECT_EQ(stats.batch_members, kPeers - 1);
+    EXPECT_EQ(count("serve.batch.leaders") - leaders_before, 1u);
+    EXPECT_EQ(count("serve.batch.members") - members_before, kPeers - 1);
 
     const HttpResponse solo = roundtrip(wire);
     ASSERT_EQ(solo.status, 200);
@@ -847,7 +861,7 @@ TEST_F(ReactorServiceTest, ReencodedEquivalentsShareOneExecution) {
     EXPECT_EQ(response.body, responses[0].body);
   }
   EXPECT_EQ(generations() - before, 1u);
-  EXPECT_EQ(reactor_->stats().batch_members, 2u);
+  EXPECT_EQ(count("serve.batch.members"), 2u);
   // The leader paid for the generation; its members paid for nothing.
   ASSERT_NE(responses[0].header("x-picp-cache"), nullptr);
   EXPECT_EQ(*responses[0].header("x-picp-cache"), "miss");
@@ -865,7 +879,7 @@ TEST_F(ReactorServiceTest, FailingLeaderFailsEveryMemberThenRecomputes) {
     EXPECT_EQ(response.status, 500);
     EXPECT_EQ(response.body, failed[0].body);
   }
-  EXPECT_EQ(reactor_->stats().batch_members, 2u);
+  EXPECT_EQ(count("serve.batch.members"), 2u);
 
   // Nothing poisoned: the next request runs a fresh execution.
   const HttpResponse retry = roundtrip(workload_wire("5"));
@@ -1013,7 +1027,7 @@ class ReactorStageTest : public ReactorServiceTest {
     for (const HttpResponse& response :
          storm(std::vector<std::string>(3, predict_wire("7"))))
       EXPECT_EQ(response.status, 200) << response.body;
-    EXPECT_EQ(reactor_->stats().batch_members, 2u);
+    EXPECT_EQ(count("serve.batch.members"), 2u);
   }
 
   /// The access-log line of the latest finished request.
@@ -1466,11 +1480,11 @@ TEST_F(ReactorTest, MetricsScrapeNeverBlocksBehindABatchedStorm) {
 
   // Snapshot consistency: every keyed request is accounted for as
   // exactly one leader or member.
-  const ReactorStats stats = reactor_->stats();
-  EXPECT_EQ(stats.batch_leaders, 1u);
-  EXPECT_EQ(stats.batch_members, static_cast<std::uint64_t>(kStorm - 1));
-  EXPECT_EQ(stats.batch_leaders + stats.batch_members,
-            static_cast<std::uint64_t>(kStorm));
+  const std::uint64_t leaders = count("serve.batch.leaders");
+  const std::uint64_t members = count("serve.batch.members");
+  EXPECT_EQ(leaders, 1u);
+  EXPECT_EQ(members, static_cast<std::uint64_t>(kStorm - 1));
+  EXPECT_EQ(leaders + members, static_cast<std::uint64_t>(kStorm));
 }
 
 }  // namespace

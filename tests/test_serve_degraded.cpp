@@ -20,6 +20,7 @@
 #include "picsim/sim_driver.hpp"
 #include "serve/http.hpp"
 #include "serve/service.hpp"
+#include "telemetry/telemetry.hpp"
 #include "trace/trace_writer.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -475,6 +476,112 @@ TEST_F(ServeDegradedTest, SharedCacheDirNeverReplaysAnotherModelSetsBody) {
   EXPECT_NE(answer.body, body_a);
   std::filesystem::remove_all(spill);
   std::remove(models.c_str());
+}
+
+TEST_F(ServeDegradedTest, UnknownFieldsAre400sThatNameTheField) {
+  // Answered as the defaults, either body would be cached and coalesced
+  // under the defaults' key.
+  PredictionService service(tiny_service_config());
+  for (const auto& [body, field] :
+       {std::pair{"{\"ranks\": [8], \"alpha\": 1.0, \"beta\": 1e-3}",
+                  "\"alpha\""},
+        std::pair{"{\"ranks\": [8], \"mapr\": \"element\"}", "\"mapr\""}}) {
+    const HttpRequest request = post("/v1/workload", body);
+    const HttpResponse response = service.handle(request);
+    EXPECT_EQ(response.status, 400) << body << " -> " << response.body;
+    const std::string message =
+        Json::parse(response.body).at("error").at("message").as_string();
+    EXPECT_NE(message.find(field), std::string::npos) << message;
+    EXPECT_EQ(service.coalesce_key(request), "") << body;
+  }
+  // Keys reordered, a scalar rank count, the defaults spelled out: every
+  // encoding of the known fields is still answered.
+  for (const char* body :
+       {"{\"filter\": 0.024, \"mapper\": \"bin\", \"ranks\": [8]}",
+        "{\"mapper\":\"bin\",\"ranks\":8,\"filter\":0.024}",
+        "{\"ranks\":[8],\"interval_stride\":1,\"max_intervals\":0,"
+        "\"filter\":0.024,\"mapper\":\"bin\"}"})
+    EXPECT_EQ(service.handle(post("/v1/workload", body)).status, 200) << body;
+}
+
+TEST_F(ServeDegradedTest, CacheCountsReachTheManifestWithoutAScrape) {
+  // Three distinct predicts through a capacity-1 response tier with a disk
+  // tier, then the first again, and no /metricsz call: a drain manifest
+  // built now must already hold every count.
+  telemetry::configure(telemetry::SessionOptions{});
+  const std::string models = testing::TempDir() + "/picp_serve_counts_" +
+                             std::to_string(::getpid()) + ".txt";
+  const std::string spill = testing::TempDir() + "/picp_serve_counts_spill_" +
+                            std::to_string(::getpid());
+  std::filesystem::remove_all(spill);
+  std::ofstream(models) << "project | np,ngp,filter | linear 0 1e-8 0 0\n";
+  ServiceConfig config = tiny_service_config();
+  config.models_path = models;
+  config.cache_dir = spill;
+  {
+    PredictionService service(config);
+    for (const char* body : {"{\"ranks\": [2]}", "{\"ranks\": [3]}",
+                             "{\"ranks\": [5]}", "{\"ranks\": [2]}"}) {
+      const HttpResponse response =
+          service.handle(post("/v1/predict", body));
+      ASSERT_EQ(response.status, 200) << body << " -> " << response.body;
+    }
+  }
+  const telemetry::MetricsSnapshot metrics = telemetry::build_manifest().metrics;
+  EXPECT_EQ(metrics.counter_value("serve.cache.response.evictions"), 3u);
+  EXPECT_EQ(metrics.counter_value("serve.cache.response.disk_hits"), 1u);
+  EXPECT_EQ(metrics.counter_value("serve.cache.response.misses"), 3u);
+  EXPECT_EQ(metrics.counter_value("serve.cache.response.hits"), 0u);
+  std::filesystem::remove_all(spill);
+  std::remove(models.c_str());
+}
+
+TEST_F(ServeDegradedTest, EachAnswerCountsOnceInItsOutcome) {
+  // One run through every outcome of the response tier: a memory hit, a
+  // stale answer, a miss, a disk hit, and a failing compute with nothing
+  // stale to serve.
+  telemetry::configure(telemetry::SessionOptions{});
+  const std::string spill = testing::TempDir() + "/picp_serve_outcomes_" +
+                            std::to_string(::getpid());
+  std::filesystem::remove_all(spill);
+  ServiceConfig config = tiny_service_config();
+  config.allow_stale = true;
+  config.cache_dir = spill;
+  PredictionService service(config);
+
+  std::uint64_t hit_200s = 0;
+  std::uint64_t miss_200s = 0;
+  const auto ask = [&](const char* ranks, const char* failpoints) {
+    if (*failpoints != '\0') failpoint::arm_many(failpoints);
+    const HttpResponse response = service.handle(post(
+        "/v1/workload", std::string("{\"ranks\": [") + ranks + "]}"));
+    failpoint::disarm_all();
+    if (response.status == 200)
+      ++(*response.header("x-picp-cache") == "hit" ? hit_200s : miss_200s);
+    return response.status;
+  };
+  EXPECT_EQ(ask("4", ""), 200);  // miss
+  EXPECT_EQ(ask("4", ""), 200);  // memory hit
+  // Evicting ranks=4 fails to spill, so only the stale tier still has it.
+  EXPECT_EQ(ask("2", "cache.spill=errno(28)"), 200);  // miss
+  EXPECT_EQ(ask("4", "serve.generate=error"), 200);   // stale
+  EXPECT_EQ(ask("3", ""), 200);  // miss; ranks=2 spills
+  EXPECT_EQ(ask("2", ""), 200);  // disk hit
+  EXPECT_EQ(ask("5", "serve.generate=error"), 500);   // nothing stale
+
+  const telemetry::MetricsSnapshot metrics = telemetry::registry().snapshot();
+  const auto counted = [&](const char* outcome) {
+    return metrics.counter_value(std::string("serve.cache.response.") +
+                                 outcome);
+  };
+  EXPECT_EQ(counted("hits"), 1u);
+  EXPECT_EQ(counted("disk_hits"), 1u);
+  EXPECT_EQ(counted("stale_served"), 1u);
+  EXPECT_EQ(counted("hits") + counted("disk_hits") + counted("stale_served"),
+            hit_200s);
+  EXPECT_EQ(counted("misses"), miss_200s);
+  EXPECT_EQ(miss_200s, 3u);
+  std::filesystem::remove_all(spill);
 }
 
 }  // namespace

@@ -44,14 +44,16 @@ echo "sanitizer suite (${SANITIZE}) passed"
 # ThreadSanitizer pass over the concurrent serving stack. Scoped to the
 # suites that actually cross threads — the reactor's pool dispatch and
 # completion queue, the HTTP server end-to-end, the thread pool itself,
-# the artifact cache's single-flight, the observability layer (trace
-# stages ride worker threads; the access log is reactor-written but
-# mutex-guarded for embedders), trace cursors plus the service's
-# lock-free concurrent generations (TraceIo, ServeDegraded, PipelineSplit),
-# and the span tracer's per-thread buffers and the stage hook behind every
-# ScopedSpan (ChromeTrace, TelemetrySession; the real pipeline's stages on
-# a reactor are ReactorStageTest) — because a full-suite TSan run costs
-# 10x+ and everything else is single-threaded by construction.
+# the registry counters and gauges the reactor and the workers (through
+# the artifact caches) share, concurrent misses of one cache key, the
+# observability layer (trace stages ride worker threads; the access log
+# is reactor-written but mutex-guarded for embedders), trace cursors plus
+# the service's lock-free concurrent generations (TraceIo, ServeDegraded,
+# PipelineSplit), and the span tracer's per-thread buffers and the stage
+# hook behind every ScopedSpan (ChromeTrace, TelemetrySession; the real
+# pipeline's stages on a reactor are ReactorStageTest) — because a
+# full-suite TSan run costs 10x+ and everything else is single-threaded by
+# construction.
 if [ "$TSAN_BUILD_DIR" != "none" ]; then
   cmake -B "$TSAN_BUILD_DIR" -S "$SRC_DIR" -DPICP_SANITIZE=thread
   cmake --build "$TSAN_BUILD_DIR" -j --target picp_tests

@@ -6,7 +6,8 @@
 # reactor coalesces in-flight twins; later ones hit the response cache),
 # malformed-input 400s, method routing, backpressure shedding, per-layer
 # stage splits in the access log and the sampled trace, and the SIGTERM
-# drain (exit 0 + valid telemetry manifest).
+# drain (exit 0 + a valid telemetry manifest whose counts include the
+# requests after the last scrape).
 #
 # Usage: check_serve.sh <picpredict-binary> [workdir]
 # Wired into ctest (fast tier) from tools/CMakeLists.txt.
@@ -404,6 +405,13 @@ kill -TERM "$BUSY_PID"
 wait "$BUSY_PID" || fail "busy daemon did not exit 0 on SIGTERM"
 BUSY_PID=""
 
+echo "== drain manifest: a request after the last scrape still counts =="
+"$PICPREDICT" query /metricsz --port "$PORT" > metrics_last.txt
+"$PICPREDICT" query /v1/predict --port "$PORT" \
+    --body '{"ranks": [12]}' > predict_last.txt
+grep -q '^200 OK cache=miss' predict_last.txt \
+    || fail "post-scrape predict was not a cache miss: $(head -1 predict_last.txt)"
+
 echo "== drain shutdown: SIGTERM -> exit 0 + valid telemetry manifest =="
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || fail "daemon did not exit 0 on SIGTERM"
@@ -420,6 +428,21 @@ grep -q '"command": "serve"' tele_serve/manifest.json \
 if grep -q 'no --telemetry-dir' serve.log; then
     fail "a daemon with --telemetry-dir warned that it has none"
 fi
+# Counts live in the registry the manifest is built from, not in copies a
+# scrape refreshes: the predict sent after the last scrape is in it.
+"$PYTHON" - metrics_last.txt tele_serve/manifest.json <<'EOF'
+import json, sys
+scraped = json.loads(open(sys.argv[1]).read().splitlines()[-1])["metrics"]
+drained = json.load(open(sys.argv[2]))["metrics"]
+for kind, name in (("counters", "serve.cache.response.misses"),
+                   ("gauges", "serve.cache.response.resident")):
+    before = scraped[kind].get(name, 0)
+    after = drained[kind].get(name, 0)
+    assert after == before + 1, \
+        "%s %s: %s at the last scrape, %s at drain (want one more)" \
+        % (kind, name, before, after)
+print("drain manifest OK (misses and resident one above the last scrape)")
+EOF
 # The sampled requests' spans: the generation and every pipeline layer.
 for name in generate trace.read mesh.partition mapping.map \
         workload.account workload.ghost model.eval des.run; do

@@ -589,6 +589,28 @@ int cmd_extrapolate(int argc, char** argv) {
 
 // --- serve ------------------------------------------------------------------
 
+/// Merge every per-route/per-class serve.red.total_us.* histogram into one
+/// (they share the bucket ladder): its count is the daemon's request count,
+/// which the drain line and `top` quote, and `top` reads its quantiles.
+telemetry::HistogramSnapshot aggregate_red_total(
+    const telemetry::MetricsSnapshot& snapshot) {
+  telemetry::HistogramSnapshot total;
+  for (const auto& h : snapshot.histograms) {
+    if (h.name.rfind("serve.red.total_us.", 0) != 0) continue;
+    if (total.bounds.empty()) {
+      total.bounds = h.bounds;
+      total.counts.assign(h.counts.size(), 0);
+    }
+    if (h.bounds != total.bounds || h.counts.size() != total.counts.size())
+      continue;
+    for (std::size_t i = 0; i < h.counts.size(); ++i)
+      total.counts[i] += h.counts[i];
+    total.count += h.count;
+    total.sum += h.sum;
+  }
+  return total;
+}
+
 serve::HttpServer* g_server = nullptr;  // signal handler target
 
 extern "C" void handle_shutdown_signal(int) {
@@ -696,13 +718,17 @@ int cmd_serve(int argc, char** argv) {
   server.run();  // blocks until SIGINT/SIGTERM, then drains
   g_server = nullptr;
 
-  const serve::ReactorStats stats = server.stats();
+  // The same registry the drain manifest is built from.
+  const telemetry::MetricsSnapshot drained = telemetry::registry().snapshot();
   if (telemetry_persisted) telemetry::finalize();
   std::printf("picpredict serve: drained after %llu request(s), "
               "%llu connection(s) accepted, %llu shed\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.accepted),
-              static_cast<unsigned long long>(stats.rejected_busy));
+              static_cast<unsigned long long>(
+                  aggregate_red_total(drained).count),
+              static_cast<unsigned long long>(
+                  drained.counter_value("serve.accepted")),
+              static_cast<unsigned long long>(
+                  drained.counter_value("serve.rejected_busy")));
   return 0;
 }
 
@@ -875,28 +901,6 @@ telemetry::MetricsSnapshot scrape_metrics(const std::string& host,
   return telemetry::metrics_from_json(body.at("metrics"));
 }
 
-/// Merge every per-route/per-class serve.red.total_us.* histogram into one
-/// (they share the bucket ladder), so `top` quotes a daemon-wide request
-/// count and quantiles.
-telemetry::HistogramSnapshot aggregate_red_total(
-    const telemetry::MetricsSnapshot& snapshot) {
-  telemetry::HistogramSnapshot total;
-  for (const auto& h : snapshot.histograms) {
-    if (h.name.rfind("serve.red.total_us.", 0) != 0) continue;
-    if (total.bounds.empty()) {
-      total.bounds = h.bounds;
-      total.counts.assign(h.counts.size(), 0);
-    }
-    if (h.bounds != total.bounds || h.counts.size() != total.counts.size())
-      continue;
-    for (std::size_t i = 0; i < h.counts.size(); ++i)
-      total.counts[i] += h.counts[i];
-    total.count += h.count;
-    total.sum += h.sum;
-  }
-  return total;
-}
-
 int cmd_top(int argc, char** argv) {
   const auto flags = parse_flags(argc, argv, 2);
   const std::string host = flag_or(flags, "host", "127.0.0.1");
@@ -941,8 +945,11 @@ int cmd_top(int argc, char** argv) {
     previous_requests = requests;
     previous_scrape = scraped;
 
+    // Hit% counts what X-Picp-Cache calls a hit: memory, disk and stale.
     const double hits = static_cast<double>(
-        snapshot.counter_value("serve.cache.response.hits"));
+        snapshot.counter_value("serve.cache.response.hits") +
+        snapshot.counter_value("serve.cache.response.disk_hits") +
+        snapshot.counter_value("serve.cache.response.stale_served"));
     const double misses = static_cast<double>(
         snapshot.counter_value("serve.cache.response.misses"));
     const double hit_pct =
