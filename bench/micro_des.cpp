@@ -1,60 +1,15 @@
-// Micro-benchmarks of the discrete-event engine: raw event throughput and
-// a full trace-driven simulation at paper scale.
+// Micro-benchmark of the trace-driven simulation at paper scale, up to the
+// largest rank count offline_sweep runs: the BSP interval recurrence over
+// migration and ghost messages, packed per rank pair.
 
 #include <benchmark/benchmark.h>
 
-#include "bsst/engine.hpp"
 #include "bsst/trace_sim.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace picp;
-
-class Bouncer final : public Component {
- public:
-  Bouncer(ComponentId id, std::int64_t hops)
-      : Component(id, "bouncer"), hops_(hops) {}
-  void handle(Engine& engine, const Event& event) override {
-    if (event.a < hops_)
-      engine.schedule(id(), id(), 1e-6, 0, event.a + 1);
-  }
-
- private:
-  std::int64_t hops_;
-};
-
-void BM_EventDispatch(benchmark::State& state) {
-  for (auto _ : state) {
-    Engine engine;
-    engine.add_component(std::make_unique<Bouncer>(0, state.range(0)));
-    engine.schedule(-1, 0, 0.0, 0, 0);
-    benchmark::DoNotOptimize(engine.run());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EventDispatch)->Arg(10000)->Arg(100000);
-
-void BM_EventQueueChurn(benchmark::State& state) {
-  EventQueue queue;
-  Xoshiro256 rng(1);
-  // Steady-state heap of 4096 events with push/pop churn.
-  for (int i = 0; i < 4096; ++i) {
-    Event e;
-    e.time = rng.uniform(0, 1);
-    queue.push(e);
-  }
-  double now = 0.0;
-  for (auto _ : state) {
-    Event e = queue.pop();
-    now = e.time;
-    e.time = now + rng.uniform(0, 1e-3);
-    queue.push(e);
-    benchmark::DoNotOptimize(now);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EventQueueChurn);
 
 void BM_TraceDrivenSim(benchmark::State& state) {
   const auto ranks = static_cast<Rank>(state.range(0));
@@ -65,15 +20,22 @@ void BM_TraceDrivenSim(benchmark::State& state) {
   input.compute_seconds.resize(static_cast<std::size_t>(ranks) * intervals);
   Xoshiro256 rng(3);
   for (double& c : input.compute_seconds) c = rng.uniform(0, 1e-4);
+  const auto any_rank = [&] {
+    return static_cast<Rank>(
+        rng.uniform_below(static_cast<std::uint64_t>(ranks)));
+  };
   CommMatrix comm(ranks, intervals);
+  CommMatrix ghosts(ranks, intervals);
   for (std::size_t t = 1; t < intervals; ++t)
-    for (int m = 0; m < 200; ++m)
-      comm.add(static_cast<Rank>(rng.uniform_below(
-                   static_cast<std::uint64_t>(ranks))),
-               static_cast<Rank>(rng.uniform_below(
-                   static_cast<std::uint64_t>(ranks))),
-               t, 5);
+    for (int m = 0; m < 200; ++m) {
+      const Rank from = any_rank();
+      const Rank to = any_rank();
+      comm.add(from, to, t, 5);
+      // Half the ghost sends share a migration pair and pack with it.
+      ghosts.add(m % 2 == 0 ? from : any_rank(), to, t, 20);
+    }
   input.comm_real = &comm;
+  input.comm_ghost = &ghosts;
   for (auto _ : state) {
     const SimReport report = run_trace_simulation(input);
     benchmark::DoNotOptimize(report.total_seconds);
@@ -82,6 +44,10 @@ void BM_TraceDrivenSim(benchmark::State& state) {
                           static_cast<std::int64_t>(ranks) *
                           static_cast<std::int64_t>(intervals));
 }
-BENCHMARK(BM_TraceDrivenSim)->Arg(1044)->Arg(4176)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TraceDrivenSim)
+    ->Arg(1044)
+    ->Arg(4176)
+    ->Arg(8352)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,9 +1,8 @@
 #include "bsst/trace_sim.hpp"
 
 #include <algorithm>
-#include <span>
+#include <utility>
 
-#include "bsst/engine.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 
@@ -11,174 +10,21 @@ namespace picp {
 
 namespace {
 
-enum EventKind : std::int32_t {
-  kStart = 1,        // a: interval
-  kComputeDone = 2,  // a: interval
-  kMessage = 3,      // a: interval
-  kRankDone = 4,     // a: interval
-};
-
-struct OutMessage {
-  Rank dst;
-  double bytes;
-};
-
-/// Precomputed per-interval messaging schedule.
-struct MessagePlan {
-  // out[t * R + r] = messages rank r sends in interval t.
-  std::vector<std::vector<OutMessage>> out;
-  // expected[t * R + r] = messages rank r must receive in interval t.
-  std::vector<std::int32_t> expected;
-};
-
-MessagePlan build_plan(const TraceSimInput& input) {
-  const auto r_count = static_cast<std::size_t>(input.num_ranks);
-  MessagePlan plan;
-  plan.out.resize(input.num_intervals * r_count);
-  plan.expected.assign(input.num_intervals * r_count, 0);
-
-  const auto add_matrix = [&](const CommMatrix* matrix, double bytes_each) {
-    if (matrix == nullptr) return;
-    PICP_REQUIRE(matrix->num_ranks() == input.num_ranks,
-                 "comm matrix rank count mismatch");
-    const std::size_t intervals =
-        std::min(input.num_intervals, matrix->num_intervals());
-    for (std::size_t t = 0; t < intervals; ++t) {
-      for (const auto& transfer : matrix->interval_transfers(t)) {
-        auto& msgs = plan.out[t * r_count + static_cast<std::size_t>(
-                                                transfer.from)];
-        const double bytes = static_cast<double>(transfer.count) * bytes_each;
-        // Merge with an existing message to the same destination (one
-        // packed send per neighbor per interval, as real codes do).
-        const auto it = std::find_if(
-            msgs.begin(), msgs.end(),
-            [&](const OutMessage& m) { return m.dst == transfer.to; });
-        if (it != msgs.end()) {
-          it->bytes += bytes;
-        } else {
-          msgs.push_back(OutMessage{transfer.to, bytes});
-          ++plan.expected[t * r_count +
-                          static_cast<std::size_t>(transfer.to)];
-        }
-      }
-    }
-  };
-  add_matrix(input.comm_real, input.network.bytes_per_particle);
-  add_matrix(input.comm_ghost, input.network.bytes_per_ghost);
-  return plan;
+/// Interval t's transfers of `matrix`, sorted by (from, to); none when the
+/// matrix is absent or ends before t.
+std::vector<CommMatrix::Transfer> transfers(const CommMatrix* matrix,
+                                            std::size_t t) {
+  if (matrix == nullptr || t >= matrix->num_intervals()) return {};
+  return matrix->interval_transfers(t);
 }
 
-class BarrierComponent;
+std::pair<Rank, Rank> pair_of(const CommMatrix::Transfer& transfer) {
+  return {transfer.from, transfer.to};
+}
 
-/// One simulated processor: computes for the modeled kernel time, then
-/// exchanges the interval's messages; reports to the barrier when both its
-/// compute and its expected receives are complete.
-class ProcessorComponent final : public Component {
- public:
-  ProcessorComponent(ComponentId id, Rank rank, const TraceSimInput& input,
-                     const MessagePlan& plan, const NetworkModel& net,
-                     ComponentId barrier)
-      : Component(id, "rank" + std::to_string(rank)),
-        rank_(rank),
-        input_(&input),
-        plan_(&plan),
-        net_(&net),
-        barrier_(barrier) {}
-
-  void handle(Engine& engine, const Event& event) override {
-    const auto t = static_cast<std::size_t>(event.a);
-    switch (event.kind) {
-      case kStart: {
-        compute_done_ = false;
-        received_ = 0;
-        const double compute =
-            input_->compute_seconds[t * static_cast<std::size_t>(
-                                            input_->num_ranks) +
-                                    static_cast<std::size_t>(rank_)];
-        engine.schedule(id(), id(), compute, kComputeDone,
-                        static_cast<std::int64_t>(t));
-        break;
-      }
-      case kComputeDone: {
-        compute_done_ = true;
-        for (const OutMessage& msg : outgoing(t))
-          engine.schedule(id(), static_cast<ComponentId>(msg.dst),
-                          net_->message_time(msg.bytes), kMessage,
-                          static_cast<std::int64_t>(t));
-        maybe_report(engine, t);
-        break;
-      }
-      case kMessage: {
-        ++received_;
-        maybe_report(engine, t);
-        break;
-      }
-      default:
-        throw Error("processor received unknown event kind");
-    }
-  }
-
- private:
-  std::span<const OutMessage> outgoing(std::size_t t) const {
-    return plan_->out[t * static_cast<std::size_t>(input_->num_ranks) +
-                      static_cast<std::size_t>(rank_)];
-  }
-  std::int32_t expected(std::size_t t) const {
-    return plan_->expected[t * static_cast<std::size_t>(input_->num_ranks) +
-                           static_cast<std::size_t>(rank_)];
-  }
-
-  void maybe_report(Engine& engine, std::size_t t) {
-    if (compute_done_ && received_ >= expected(t) && !reported_[t]) {
-      reported_[t] = true;
-      engine.schedule(id(), barrier_, 0.0, kRankDone,
-                      static_cast<std::int64_t>(t));
-    }
-  }
-
-  Rank rank_;
-  const TraceSimInput* input_;
-  const MessagePlan* plan_;
-  const NetworkModel* net_;
-  ComponentId barrier_;
-  bool compute_done_ = false;
-  std::int32_t received_ = 0;
-
- public:
-  std::vector<bool> reported_;
-};
-
-/// Interval barrier: collects rank-done reports, then releases the next
-/// interval after a log-tree collective.
-class BarrierComponent final : public Component {
- public:
-  BarrierComponent(ComponentId id, const TraceSimInput& input,
-                   const NetworkModel& net, SimReport& report)
-      : Component(id, "barrier"),
-        input_(&input),
-        net_(&net),
-        report_(&report) {}
-
-  void handle(Engine& engine, const Event& event) override {
-    PICP_REQUIRE(event.kind == kRankDone, "barrier expects rank-done events");
-    const auto t = static_cast<std::size_t>(event.a);
-    if (++done_count_ < input_->num_ranks) return;
-    done_count_ = 0;
-    const double sync = net_->collective_time(input_->num_ranks);
-    report_->interval_end[t] = engine.now() + sync;
-    if (t + 1 < input_->num_intervals) {
-      for (Rank r = 0; r < input_->num_ranks; ++r)
-        engine.schedule(id(), static_cast<ComponentId>(r), sync, kStart,
-                        static_cast<std::int64_t>(t + 1));
-    }
-  }
-
- private:
-  const TraceSimInput* input_;
-  const NetworkModel* net_;
-  SimReport* report_;
-  Rank done_count_ = 0;
-};
+double bytes(const CommMatrix::Transfer& transfer, double bytes_each) {
+  return static_cast<double>(transfer.count) * bytes_each;
+}
 
 }  // namespace
 
@@ -186,47 +32,74 @@ SimReport run_trace_simulation(const TraceSimInput& input) {
   const telemetry::ScopedSpan span("des.run", "pipeline");
   PICP_REQUIRE(input.num_ranks > 0, "need at least one rank");
   PICP_REQUIRE(input.num_intervals > 0, "need at least one interval");
-  PICP_REQUIRE(input.compute_seconds.size() ==
-                   input.num_intervals * static_cast<std::size_t>(
-                                             input.num_ranks),
+  const auto r_count = static_cast<std::size_t>(input.num_ranks);
+  PICP_REQUIRE(input.compute_seconds.size() == input.num_intervals * r_count,
                "compute table size mismatch");
+  for (const CommMatrix* matrix : {input.comm_real, input.comm_ghost})
+    PICP_REQUIRE(matrix == nullptr || matrix->num_ranks() == input.num_ranks,
+                 "comm matrix rank count mismatch");
 
   const NetworkModel net(input.network);
-  const MessagePlan plan = build_plan(input);
+  const double sync = net.collective_time(input.num_ranks);
+  const double per_particle = input.network.bytes_per_particle;
+  const double per_ghost = input.network.bytes_per_ghost;
 
   SimReport report;
   report.interval_end.assign(input.num_intervals, 0.0);
-  report.rank_busy_seconds.assign(static_cast<std::size_t>(input.num_ranks),
-                                  0.0);
+  report.rank_busy_seconds.assign(r_count, 0.0);
 
-  Engine engine;
-  const auto barrier_id = static_cast<ComponentId>(input.num_ranks);
-  for (Rank r = 0; r < input.num_ranks; ++r) {
-    auto proc = std::make_unique<ProcessorComponent>(
-        static_cast<ComponentId>(r), r, input, plan, net, barrier_id);
-    proc->reported_.assign(input.num_intervals, false);
-    engine.add_component(std::move(proc));
-  }
-  engine.add_component(std::make_unique<BarrierComponent>(
-      barrier_id, input, net, report));
-
-  for (Rank r = 0; r < input.num_ranks; ++r)
-    engine.schedule(barrier_id, static_cast<ComponentId>(r), 0.0, kStart, 0);
-
-  report.events = engine.run();
-  report.total_seconds = report.interval_end.back();
-
+  // finish[r]: when rank r has computed and received every message of the
+  // current interval. Each sum below is formed exactly as the event-driven
+  // form forms its event times, so the result is bit-identical to it.
+  std::vector<double> finish(r_count);
+  double start = 0.0;
   for (std::size_t t = 0; t < input.num_intervals; ++t) {
-    double interval_max = 0.0;
-    for (Rank r = 0; r < input.num_ranks; ++r) {
-      const double c =
-          input.compute_seconds[t * static_cast<std::size_t>(input.num_ranks) +
-                                static_cast<std::size_t>(r)];
-      report.rank_busy_seconds[static_cast<std::size_t>(r)] += c;
-      interval_max = std::max(interval_max, c);
+    const double* compute = input.compute_seconds.data() + t * r_count;
+    double slowest_compute = 0.0;
+    for (std::size_t r = 0; r < r_count; ++r) {
+      PICP_REQUIRE(compute[r] >= 0.0, "compute time must be non-negative");
+      finish[r] = start + compute[r];
+      report.rank_busy_seconds[r] += compute[r];
+      slowest_compute = std::max(slowest_compute, compute[r]);
     }
-    report.critical_path_seconds += interval_max;
+    report.critical_path_seconds += slowest_compute;
+
+    // A message leaves when its sender's compute ends.
+    std::uint64_t messages = 0;
+    const auto send = [&](const CommMatrix::Transfer& transfer,
+                          double message_bytes) {
+      const double delay = net.message_time(message_bytes);
+      PICP_REQUIRE(delay >= 0.0, "message time must be non-negative");
+      double& arrival = finish[static_cast<std::size_t>(transfer.to)];
+      arrival = std::max(
+          arrival,
+          (start + compute[static_cast<std::size_t>(transfer.from)]) + delay);
+      ++messages;
+    };
+    // One packed message per (from, to) pair, migration bytes first: both
+    // lists are sorted by pair, so a merge packs them.
+    const auto real = transfers(input.comm_real, t);
+    const auto ghost = transfers(input.comm_ghost, t);
+    auto g = ghost.begin();
+    for (const auto& m : real) {
+      for (; g != ghost.end() && pair_of(*g) < pair_of(m); ++g)
+        send(*g, bytes(*g, per_ghost));
+      double packed = bytes(m, per_particle);
+      if (g != ghost.end() && pair_of(*g) == pair_of(m))
+        packed += bytes(*g++, per_ghost);
+      send(m, packed);
+    }
+    for (; g != ghost.end(); ++g) send(*g, bytes(*g, per_ghost));
+
+    const double slowest = *std::max_element(finish.begin(), finish.end());
+    report.interval_end[t] = slowest + sync;
+    start = report.interval_end[t];
+    // Start, compute done and rank done per rank, plus one per message.
+    report.events += 3 * r_count + messages;
   }
+  report.total_seconds = report.interval_end.back();
+  if (telemetry::enabled())
+    telemetry::registry().counter("des.events").add(report.events);
   return report;
 }
 

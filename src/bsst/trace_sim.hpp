@@ -37,7 +37,9 @@ struct SimReport {
   /// Sum over intervals of the slowest rank's compute (pure critical path,
   /// no communication) — a lower bound useful for diagnosing comm overhead.
   double critical_path_seconds = 0.0;
-  /// DES events dispatched.
+  /// Events the discrete-event form of this model dispatches: start,
+  /// compute done and rank done for every rank in every interval, plus one
+  /// per packed message.
   std::uint64_t events = 0;
 };
 
@@ -45,6 +47,14 @@ struct SimReport {
 /// computes, exchanges the interval's migration/ghost messages over the
 /// α-β interconnect, and synchronizes on a log-tree barrier before the next
 /// interval begins (the BSP structure of the CMT-nek particle phase).
+///
+/// Links never contend, so the model is a max-plus recurrence, evaluated
+/// directly. Interval t starts at S_t (S_0 = 0). Rank r finishes at the
+/// latest of S_t + c[r,t] and, for each packed message s→r (one per pair,
+/// migration bytes then ghost bytes), (S_t + c[s,t]) + message_time(bytes).
+/// Interval t ends, and S_{t+1} begins, at the latest finish plus
+/// collective_time(R). Throws picp::Error on a negative or NaN compute time
+/// or a negative message time, as well as on malformed input.
 SimReport run_trace_simulation(const TraceSimInput& input);
 
 }  // namespace picp

@@ -583,11 +583,7 @@ HttpResponse PredictionService::handle_routed(const HttpRequest& request,
     response.body = handle_query(path == "/v1/predict", request.body,
                                  deadline, &from_cache, &degraded);
     response.set_header("X-Picp-Cache", from_cache ? "hit" : "miss");
-    if (degraded) {
-      response.set_header("X-Picp-Degraded", "stale");
-      if (telemetry::enabled())
-        telemetry::registry().counter("serve.degraded").add();
-    }
+    if (degraded) response.set_header("X-Picp-Degraded", "stale");
     return response;
   }
 

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/claims.hpp"
 #include "core/pipeline.hpp"
 #include "core/predictor.hpp"
@@ -38,6 +40,12 @@ TEST(ClaimsFig7, PredictionErrorStaysWithinGates) {
   };
 
   claims::MapeSummary summary;
+  // The kernel behind the peak, so a failed gate says how many records it
+  // judged: a kernel with one or two records above the floor is timer noise.
+  std::string peak_kernel;
+  double peak_mape = -1.0;
+  Rank peak_ranks = 0;
+  std::size_t peak_records = 0;
   for (const auto& [ranks, timings_path] : configs) {
     PredictionConfig pc;
     pc.mapper_kind = cfg.mapper_kind;
@@ -46,7 +54,16 @@ TEST(ClaimsFig7, PredictionErrorStaysWithinGates) {
     TraceReader trace(fixture.trace_path);
     const WorkloadResult workload = pipeline.generate_workload(trace, pc);
     const KernelTimings measured = KernelTimings::load_csv(timings_path);
-    summary.add(validate_predictions(measured, predictor, workload, 1e-6));
+    const ValidationReport report =
+        validate_predictions(measured, predictor, workload, 1e-6);
+    for (const KernelAccuracy& k : report.kernels)
+      if (k.mape > peak_mape) {
+        peak_kernel = k.kernel;
+        peak_mape = k.mape;
+        peak_ranks = ranks;
+        peak_records = k.samples;
+      }
+    summary.add(report);
   }
   ASSERT_GT(summary.samples(), 0u);
   ASSERT_GE(summary.kernels(), 3u)
@@ -58,6 +75,10 @@ TEST(ClaimsFig7, PredictionErrorStaysWithinGates) {
   EXPECT_SHAPE(shape::below_threshold(summary.record_mape(), 50.0,
                                       "Fig 7 per-record MAPE (%)"));
   // Paper peak: 17.7%; fixture worst kernel ~37%.
+  SCOPED_TRACE("worst kernel: " + peak_kernel + " at " +
+               std::to_string(peak_ranks) + " ranks, " +
+               std::to_string(peak_records) +
+               " records above the 1 us floor");
   EXPECT_SHAPE(shape::below_threshold(summary.peak_kernel_mape(), 90.0,
                                       "Fig 7 worst per-kernel MAPE (%)"));
 }

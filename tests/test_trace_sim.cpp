@@ -2,8 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "bsst/network_model.hpp"
+#include "support/des_reference.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace picp {
 namespace {
@@ -119,6 +129,135 @@ TEST(TraceSim, InputValidation) {
   CommMatrix wrong(3, 1);
   bad.comm_real = &wrong;
   EXPECT_THROW(run_trace_simulation(bad), Error);
+}
+
+/// Index of the first element whose bits differ (the common size when the
+/// shorter is a prefix of the longer).
+std::size_t first_difference(const std::vector<double>& a,
+                             const std::vector<double>& b) {
+  std::size_t i = 0;
+  while (i < a.size() && i < b.size() &&
+         std::bit_cast<std::uint64_t>(a[i]) ==
+             std::bit_cast<std::uint64_t>(b[i]))
+    ++i;
+  return i;
+}
+
+void expect_same_bits(const SimReport& got, const SimReport& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_seconds),
+            std::bit_cast<std::uint64_t>(want.total_seconds));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.critical_path_seconds),
+            std::bit_cast<std::uint64_t>(want.critical_path_seconds));
+  EXPECT_EQ(got.events, want.events);
+  ASSERT_EQ(got.interval_end.size(), want.interval_end.size());
+  EXPECT_EQ(first_difference(got.interval_end, want.interval_end),
+            want.interval_end.size());
+  ASSERT_EQ(got.rank_busy_seconds.size(), want.rank_busy_seconds.size());
+  EXPECT_EQ(first_difference(got.rank_busy_seconds, want.rank_busy_seconds),
+            want.rank_busy_seconds.size());
+}
+
+// Seeded inputs up to offline_sweep's largest rank count and run length.
+// Seeds cycle through four message mixes (none, migration only, ghosts
+// only, both with shared pairs) crossed with up to 8, 200 or 5000
+// transfers per interval and two link speeds; some tie compute times on a
+// coarse grid, zero the latency, or hand in comm matrices longer than the
+// run.
+TEST(TraceSim, ClosedFormEqualsTheEventDrivenReferenceExactly) {
+  constexpr Rank kRankCounts[] = {1, 2, 3, 7, 64, 500, 1044, 2088, 4176, 8352};
+  std::size_t intervals_seen = 0;
+  std::size_t message_bound = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256 rng(seed);
+    const bool largest = seed < 4;
+    const Rank ranks =
+        largest ? 8352 : kRankCounts[rng.uniform_below(std::size(kRankCounts))];
+    const std::size_t intervals = largest ? 40 : 1 + rng.uniform_below(40);
+    const std::uint64_t mix = seed % 4;  // bit 0: migration, bit 1: ghosts
+    const bool ties = seed % 3 == 0;
+
+    TraceSimInput input;
+    input.num_ranks = ranks;
+    input.num_intervals = intervals;
+    input.network.alpha = seed % 5 == 0 ? 0.0 : 1.5e-6;
+    input.network.beta = seed / 4 % 2 == 0 ? 1e9 : 1e10;
+    input.compute_seconds.resize(static_cast<std::size_t>(ranks) * intervals);
+    for (double& c : input.compute_seconds)
+      c = ties ? 1e-4 * static_cast<double>(rng.uniform_below(4))
+               : rng.uniform(0.0, 1e-3);
+
+    const std::size_t matrix_intervals = intervals + (seed % 5 == 1 ? 3 : 0);
+    CommMatrix real(ranks, matrix_intervals);
+    CommMatrix ghost(ranks, matrix_intervals);
+    const auto any_rank = [&] {
+      return static_cast<Rank>(
+          rng.uniform_below(static_cast<std::uint64_t>(ranks)));
+    };
+    const auto any_count = [&] {
+      return static_cast<std::int64_t>(1 + rng.uniform_below(1000));
+    };
+    constexpr std::uint64_t kMaxTransfers[] = {5000, 200, 8};
+    const std::uint64_t max_transfers =
+        mix == 0 ? 0 : kMaxTransfers[seed / 4 % 3];
+    for (std::size_t t = 0; t < matrix_intervals; ++t) {
+      const std::uint64_t transfers = rng.uniform_below(max_transfers + 1);
+      for (std::uint64_t k = 0; k < transfers; ++k) {
+        const Rank from = any_rank();
+        const Rank to = any_rank();
+        if (mix == 1) real.add(from, to, t, any_count());
+        if (mix == 2) ghost.add(from, to, t, any_count());
+        if (mix != 3) continue;
+        // Both: a third of the pairs carry migrations and ghosts, a third
+        // only migrations, a third only ghosts.
+        if (k % 3 != 2) real.add(from, to, t, any_count());
+        if (k % 3 != 1) ghost.add(from, to, t, any_count());
+      }
+    }
+    input.comm_real = (mix & 1) != 0 ? &real : nullptr;
+    input.comm_ghost = (mix & 2) != 0 ? &ghost : nullptr;
+
+    const SimReport closed = run_trace_simulation(input);
+    expect_same_bits(closed, testing::run_des_reference(input));
+
+    // Count the intervals a message, not compute, ended, so the inputs are
+    // known to exercise both regimes.
+    const double sync = NetworkModel(input.network).collective_time(ranks);
+    double start = 0.0;
+    const auto r_count = static_cast<std::size_t>(ranks);
+    for (std::size_t t = 0; t < intervals; ++t) {
+      const double* compute = input.compute_seconds.data() + t * r_count;
+      double slowest = 0.0;
+      for (std::size_t r = 0; r < r_count; ++r)
+        slowest = std::max(slowest, start + compute[r]);
+      if (closed.interval_end[t] != slowest + sync) ++message_bound;
+      start = closed.interval_end[t];
+      ++intervals_seen;
+    }
+  }
+  EXPECT_GT(message_bound, intervals_seen / 4);
+  EXPECT_GT(intervals_seen - message_bound, intervals_seen / 4);
+}
+
+TEST(TraceSim, RejectsNegativeOrNaNComputeAndNegativeMessageTimes) {
+  const auto expect_rejected = [](const TraceSimInput& input) {
+    EXPECT_THROW(run_trace_simulation(input), Error);
+    EXPECT_THROW(testing::run_des_reference(input), Error);
+  };
+  TraceSimInput negative = uniform_input(3, 2, 0.001);
+  negative.compute_seconds[4] = -1e-9;
+  expect_rejected(negative);
+
+  TraceSimInput nan = uniform_input(3, 2, 0.001);
+  nan.compute_seconds[5] = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(nan);
+
+  // -1000 particles of 96 bytes over 1 GB/s: 1 us of latency less 96 us.
+  TraceSimInput backwards = uniform_input(3, 2, 0.001);
+  CommMatrix comm(3, 2);
+  comm.add(2, 0, 1, -1000);
+  backwards.comm_real = &comm;
+  expect_rejected(backwards);
 }
 
 }  // namespace

@@ -158,7 +158,7 @@ tail -n +2 r4_hit.txt > body_r4_hit.json
 cmp body_r4.json body_r4_hit.json || fail "cached replay not byte-identical"
 
 "$PICPREDICT" query /metricsz --port "$PORT" > metrics_base.txt
-for m in serve.degraded serve.deadline_exceeded \
+for m in serve.deadline_exceeded \
          serve.cache.response.quarantined serve.cache.response.stale_served \
          serve.cache.response.spill_failures failpoint.armed; do
     v=$(metric metrics_base.txt "$m")
