@@ -1,5 +1,6 @@
 // Micro-benchmarks of the particle-mapping hot paths: bin-tree construction
-// (rebuilt every interval in bin-based mapping) and bulk owner assignment.
+// (rebuilt every interval in bin-based mapping), bulk owner assignment and
+// the mesh partitions the element mappers start from.
 
 #include <benchmark/benchmark.h>
 
@@ -86,6 +87,8 @@ void BM_HilbertMap(benchmark::State& state) {
 }
 BENCHMARK(BM_HilbertMap)->Arg(30000);
 
+// Rank counts: 16 and 128 span the daemon's cold configs, 1044 and 8352 the
+// paper's processor counts.
 void BM_RcbPartition(benchmark::State& state) {
   const SpectralMesh mesh(Aabb(Vec3(0, 0, 0), Vec3(1, 1, 2)), 32, 32, 64, 5);
   for (auto _ : state) {
@@ -94,6 +97,21 @@ void BM_RcbPartition(benchmark::State& state) {
     benchmark::DoNotOptimize(partition.max_elements_per_rank());
   }
 }
-BENCHMARK(BM_RcbPartition)->Arg(1044)->Arg(8352);
+BENCHMARK(BM_RcbPartition)->Arg(16)->Arg(128)->Arg(1044)->Arg(8352);
+
+// The weighted re-partition of WeightedElementMapper: grid work plus a
+// particle load that leaves ~30% of the elements empty.
+void BM_WeightedRcbPartition(benchmark::State& state) {
+  const SpectralMesh mesh(Aabb(Vec3(0, 0, 0), Vec3(1, 1, 2)), 32, 32, 64, 5);
+  Xoshiro256 rng(7);
+  std::vector<double> weights(static_cast<std::size_t>(mesh.num_elements()));
+  for (double& w : weights) w = rng.uniform() < 0.3 ? 0.0 : rng.uniform(1, 9);
+  for (auto _ : state) {
+    const MeshPartition partition = weighted_rcb_partition(
+        mesh, static_cast<Rank>(state.range(0)), weights);
+    benchmark::DoNotOptimize(partition.max_elements_per_rank());
+  }
+}
+BENCHMARK(BM_WeightedRcbPartition)->Arg(16)->Arg(128)->Arg(1044);
 
 }  // namespace

@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "geom/aabb.hpp"
 #include "mesh/spectral_mesh.hpp"
 
 namespace picp {
@@ -33,14 +32,6 @@ class MeshPartition {
     return elements_per_rank_;
   }
 
-  /// Bounding box of the elements owned by a rank (tight union). For RCB on
-  /// a structured mesh these regions are near-rectangular; the bounding box
-  /// is what the ghost-particle search consults.
-  const Aabb& rank_bounds(Rank r) const {
-    return rank_bounds_[static_cast<std::size_t>(r)];
-  }
-  const std::vector<Aabb>& all_rank_bounds() const { return rank_bounds_; }
-
   /// Largest / smallest per-rank element count (load-balance diagnostics).
   std::int64_t max_elements_per_rank() const;
   std::int64_t min_elements_per_rank() const;
@@ -49,21 +40,23 @@ class MeshPartition {
   Rank num_ranks_;
   std::vector<Rank> element_owner_;
   std::vector<std::int64_t> elements_per_rank_;
-  std::vector<Aabb> rank_bounds_;
 };
 
 /// Recursive coordinate bisection of the mesh's elements across `num_ranks`
 /// processors. Splits the longest axis of the current element subset's
 /// bounding box at the element that divides the count proportionally to the
 /// rank split (supports non-power-of-two rank counts such as the paper's
-/// 1044). Deterministic.
+/// 1044). Ties in the center break by element id. Deterministic. Throws
+/// picp::Error, before allocating, when an axis has 2^21 or more elements or
+/// element centers do not strictly increase along an axis.
 MeshPartition rcb_partition(const SpectralMesh& mesh, Rank num_ranks);
 
 /// Weighted recursive coordinate bisection: like rcb_partition, but splits
 /// so each side receives element *weight* proportional to its rank share
 /// (weights = grid work + particle load, after Zhai et al.'s load-balanced
 /// partitioning). `weights` must have one non-negative entry per element;
-/// all-zero weights fall back to counting elements.
+/// all-zero weights fall back to counting elements. Same mesh limits as
+/// rcb_partition.
 MeshPartition weighted_rcb_partition(const SpectralMesh& mesh, Rank num_ranks,
                                      std::span<const double> weights);
 

@@ -28,7 +28,9 @@
 //
 // Counts live only in the telemetry registry, under the family the cache
 // is built with (`<family>.hits`, ...): a scrape and a drain manifest
-// read the same numbers, whenever they are taken.
+// read the same numbers, whenever they are taken. A cache registers only
+// the series its tiers can move: `disk_hits`, `quarantined` and
+// `spill_failures` with a disk tier, `stale_served` with a stale tier.
 
 #include <cstdint>
 #include <cstdio>
@@ -77,7 +79,7 @@ class ArtifactCache {
         spill_dir_(std::move(spill_dir)),
         hooks_(std::move(hooks)),
         stale_tier_(stale_tier),
-        metrics_(family) {
+        metrics_(family, !spill_dir_.empty(), stale_tier) {
     if (!spill_dir_.empty()) {
       std::filesystem::create_directories(spill_dir_);
       scan_spill_dir();
@@ -125,12 +127,12 @@ class ArtifactCache {
       // Degraded mode: the last good value answers this request; nothing
       // is inserted, so the next request retries a fresh compute instead
       // of re-serving stale forever.
-      metrics_.stale_served.add();
+      metrics_.stale_served->add();
       if (from_cache != nullptr) *from_cache = true;
       if (degraded != nullptr) *degraded = true;
       return stale;
     }
-    (from_disk ? metrics_.disk_hits : metrics_.misses).add();
+    (from_disk ? *metrics_.disk_hits : metrics_.misses).add();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       const auto [it, inserted] = entries_.try_emplace(key);
@@ -180,16 +182,21 @@ class ArtifactCache {
   };
 
   /// The family's registry metrics, resolved once: counting is one
-  /// relaxed add, with or without a telemetry session.
+  /// relaxed add, with or without a telemetry session. `disk_hits`,
+  /// `quarantined` and `spill_failures` are null without a disk tier, and
+  /// `stale_served` without a stale tier; only that tier's paths count
+  /// in them.
   struct Metrics {
-    explicit Metrics(const std::string& family)
+    Metrics(const std::string& family, bool disk_tier, bool stale_tier)
         : hits(counter(family, "hits")),
-          disk_hits(counter(family, "disk_hits")),
-          stale_served(counter(family, "stale_served")),
+          disk_hits(disk_tier ? &counter(family, "disk_hits") : nullptr),
+          stale_served(stale_tier ? &counter(family, "stale_served")
+                                  : nullptr),
           misses(counter(family, "misses")),
           evictions(counter(family, "evictions")),
-          quarantined(counter(family, "quarantined")),
-          spill_failures(counter(family, "spill_failures")),
+          quarantined(disk_tier ? &counter(family, "quarantined") : nullptr),
+          spill_failures(disk_tier ? &counter(family, "spill_failures")
+                                   : nullptr),
           resident(telemetry::registry().gauge(family + ".resident")) {}
 
     static telemetry::Counter& counter(const std::string& family,
@@ -198,12 +205,12 @@ class ArtifactCache {
     }
 
     telemetry::Counter& hits;
-    telemetry::Counter& disk_hits;
-    telemetry::Counter& stale_served;
+    telemetry::Counter* disk_hits;
+    telemetry::Counter* stale_served;
     telemetry::Counter& misses;
     telemetry::Counter& evictions;       // LRU entries dropped (capacity)
-    telemetry::Counter& quarantined;     // spill files failing their digest
-    telemetry::Counter& spill_failures;  // evictions whose spill failed
+    telemetry::Counter* quarantined;     // spill files failing their digest
+    telemetry::Counter* spill_failures;  // evictions whose spill failed
     telemetry::Gauge& resident;          // entries in memory
   };
 
@@ -281,7 +288,7 @@ class ArtifactCache {
         // Crash mid-spill: AtomicFile never committed this. Quarantine it
         // so a later spill of the same key starts from a clean slate.
         quarantine_file(item.path());
-        metrics_.quarantined.add();
+        metrics_.quarantined->add();
         continue;
       }
       if (name.size() != 20 || name.compare(16, 4, ".art") != 0) continue;
@@ -296,7 +303,7 @@ class ArtifactCache {
         (void)decode_frame(key, bytes.str(), item.path().string());
       } catch (const Error&) {
         quarantine_file(item.path());
-        metrics_.quarantined.add();
+        metrics_.quarantined->add();
       }
     }
   }
@@ -357,7 +364,7 @@ class ArtifactCache {
         // Disk full / injected short write: the entry just falls out of
         // the disk tier. AtomicFile aborted its temp, so nothing torn was
         // published — and eviction itself must never fail.
-        metrics_.spill_failures.add();
+        metrics_.spill_failures->add();
       }
       entries_.erase(it);
       lru_.pop_back();
@@ -392,7 +399,7 @@ class ArtifactCache {
     } catch (const Error&) {
       in.close();
       quarantine_file(path);
-      metrics_.quarantined.add();
+      metrics_.quarantined->add();
       return nullptr;
     }
     try {

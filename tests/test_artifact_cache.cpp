@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "serve/artifact_cache.hpp"
 #include "telemetry/telemetry.hpp"
@@ -380,6 +382,43 @@ TEST(ArtifactCache, ACacheWithoutTheStaleTierKeepsNoEvictedValueAlive) {
       cache.get_or_compute(1, [] { return std::string("first"); });
   cache.get_or_compute(2, [] { return std::string("evictor"); });
   EXPECT_TRUE(evicted.expired());
+}
+
+/// Every series registered under `family`, without the family prefix,
+/// sorted.
+std::vector<std::string> exposed_series(const std::string& family) {
+  const telemetry::MetricsSnapshot snapshot = telemetry::registry().snapshot();
+  const std::string prefix = family + ".";
+  std::vector<std::string> names;
+  const auto collect = [&](const std::string& name) {
+    if (name.rfind(prefix, 0) == 0) names.push_back(name.substr(prefix.size()));
+  };
+  for (const auto& counter : snapshot.counters) collect(counter.name);
+  for (const auto& gauge : snapshot.gauges) collect(gauge.name);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(ArtifactCache, RegistersOnlyTheSeriesItsTiersCanMove) {
+  // Families of their own: test_family() registers every series.
+  const std::string base = "test.cache_series.";
+  const std::string dir = temp_dir("series");
+  {
+    const ArtifactCache<int> memory(2, base + "memory");
+    const ArtifactCache<std::string> disk(2, base + "disk", dir,
+                                          identity_hooks());
+    const ArtifactCache<int> stale(2, base + "stale", "", {},
+                                   /*stale_tier=*/true);
+  }
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(exposed_series(base + "memory"),
+            (Names{"evictions", "hits", "misses", "resident"}));
+  EXPECT_EQ(exposed_series(base + "disk"),
+            (Names{"disk_hits", "evictions", "hits", "misses", "quarantined",
+                   "resident", "spill_failures"}));
+  EXPECT_EQ(exposed_series(base + "stale"),
+            (Names{"evictions", "hits", "misses", "resident", "stale_served"}));
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -889,17 +889,17 @@ TEST_F(ReactorServiceTest, FailingLeaderFailsEveryMemberThenRecomputes) {
 }
 
 TEST_F(ReactorServiceTest, MixedStormNeverCrossContaminates) {
-  constexpr int kPeers = 8;
+  constexpr std::size_t kPeers = 8;
   std::vector<Peer> peers;
   peers.reserve(kPeers);
-  for (int i = 0; i < kPeers; ++i) peers.push_back(adopt_peer());
+  for (std::size_t i = 0; i < kPeers; ++i) peers.push_back(adopt_peer());
   // Alternate two configs through one cycle: 4-rank and 8-rank workloads.
-  for (int i = 0; i < kPeers; ++i)
+  for (std::size_t i = 0; i < kPeers; ++i)
     peers[i].send(workload_wire(i % 2 == 0 ? "4" : "8"));
   reactor_->run_once(0);
 
   std::vector<std::string> bodies(kPeers);
-  for (int i = 0; i < kPeers; ++i) {
+  for (std::size_t i = 0; i < kPeers; ++i) {
     peers[i].pump();
     const auto responses = peers[i].take_responses();
     ASSERT_EQ(responses.size(), 1u);
@@ -908,8 +908,8 @@ TEST_F(ReactorServiceTest, MixedStormNeverCrossContaminates) {
   }
 
   // Within a config: byte-identical. Across configs: distinct.
-  for (int i = 2; i < kPeers; i += 2) EXPECT_EQ(bodies[0], bodies[i]);
-  for (int i = 3; i < kPeers; i += 2) EXPECT_EQ(bodies[1], bodies[i]);
+  for (std::size_t i = 2; i < kPeers; i += 2) EXPECT_EQ(bodies[0], bodies[i]);
+  for (std::size_t i = 3; i < kPeers; i += 2) EXPECT_EQ(bodies[1], bodies[i]);
   EXPECT_NE(bodies[0], bodies[1]) << "4-rank and 8-rank responses collided";
 
   // And each matches its config's solo ground truth.

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -532,6 +533,18 @@ TEST_F(ServeDegradedTest, CacheCountsReachTheManifestWithoutAScrape) {
   EXPECT_EQ(metrics.counter_value("serve.cache.response.disk_hits"), 1u);
   EXPECT_EQ(metrics.counter_value("serve.cache.response.misses"), 3u);
   EXPECT_EQ(metrics.counter_value("serve.cache.response.hits"), 0u);
+  // The manifest carries only series a tier can move: the workload tier has
+  // neither a disk tier nor a stale tier.
+  const auto listed = [&metrics](const std::string& name) {
+    return std::any_of(
+        metrics.counters.begin(), metrics.counters.end(),
+        [&name](const auto& counter) { return counter.name == name; });
+  };
+  EXPECT_TRUE(listed("serve.cache.response.spill_failures"));
+  for (const char* series :
+       {"disk_hits", "stale_served", "quarantined", "spill_failures"})
+    EXPECT_FALSE(listed(std::string("serve.cache.workload.") + series))
+        << series;
   std::filesystem::remove_all(spill);
   std::remove(models.c_str());
 }
