@@ -149,10 +149,8 @@ ModelSet ensure_models_merged(const StudyOptions& options,
     return ModelSet::load(path);
   }
   KernelTimings merged;
-  for (const std::string& timings_path : timing_paths) {
-    const KernelTimings loaded = KernelTimings::load_csv(timings_path);
-    for (const TimingRecord& rec : loaded.records()) merged.add(rec);
-  }
+  for (const std::string& timings_path : timing_paths)
+    merged.append(KernelTimings::load_csv(timings_path));
   return train_and_cache(options, merged, tag, config);
 }
 

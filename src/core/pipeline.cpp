@@ -72,12 +72,10 @@ PredictionOutcome PredictionPipeline::predict(
   outcome.sim = simulate_workload(outcome.workload, config);
   outcome.sim_seconds = watch.seconds();
 
-  if (telemetry::enabled()) {
-    auto& reg = telemetry::registry();
-    reg.counter("predict.runs").add();
-    reg.counter("predict.intervals").add(outcome.workload.num_intervals());
-    reg.gauge("predict.app_seconds").set(outcome.sim.total_seconds);
-  }
+  auto& reg = telemetry::registry();
+  reg.counter("predict.runs").add();
+  reg.counter("predict.intervals").add(outcome.workload.num_intervals());
+  reg.gauge("predict.app_seconds").set(outcome.sim.total_seconds);
 
   PICP_LOG_INFO << "prediction " << config.mapper_kind << " R="
                 << config.num_ranks << ": app time "

@@ -45,14 +45,17 @@ KernelMetrics& metrics_for(Kernel k) {
 
 void KernelTimings::add(const TimingRecord& record) {
   records_.push_back(record);
-  if (telemetry::enabled()) {
-    KernelMetrics& m = metrics_for(record.kernel);
-    m.measurements->add();
-    m.measured_ns->add(record.seconds <= 0.0
-                           ? 0
-                           : static_cast<std::uint64_t>(record.seconds * 1e9));
-    m.seconds->observe(record.seconds);
-  }
+  KernelMetrics& m = metrics_for(record.kernel);
+  m.measurements->add();
+  m.measured_ns->add(record.seconds <= 0.0
+                         ? 0
+                         : static_cast<std::uint64_t>(record.seconds * 1e9));
+  m.seconds->observe(record.seconds);
+}
+
+void KernelTimings::append(const KernelTimings& other) {
+  records_.insert(records_.end(), other.records_.begin(),
+                  other.records_.end());
 }
 
 std::vector<TimingRecord> KernelTimings::for_kernel(Kernel k) const {
@@ -96,7 +99,7 @@ KernelTimings KernelTimings::load_csv(const std::string& path) {
     r.nmove = parse_double(fields[6]);
     r.filter = parse_double(fields[7]);
     r.nel = fields.size() > 8 ? parse_double(fields[8]) : 0.0;
-    timings.add(r);
+    timings.records_.push_back(r);
   }
   return timings;
 }

@@ -35,12 +35,15 @@ struct TimingRecord {
 ///
 /// Per-kernel aggregates (how many measurements, total measured seconds,
 /// the seconds distribution) live in the telemetry registry as
-/// `picsim.kernel.<name>.*`, fed by `add()` — not in parallel accumulator
-/// fields here. Consumers wanting aggregates snapshot the registry;
+/// `picsim.kernel.<name>.*`, fed by `add()` once per measurement — not in
+/// parallel accumulator fields here. Rows that `load_csv` reads or
+/// `append` copies were counted when they were measured, so they publish
+/// nothing. Consumers wanting aggregates snapshot the registry;
 /// `records()` remains the exact per-measurement ground truth.
 class KernelTimings {
  public:
   void add(const TimingRecord& record);
+  void append(const KernelTimings& other);
   std::span<const TimingRecord> records() const { return records_; }
   std::size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }

@@ -64,7 +64,6 @@ SimConfig SimConfig::from_config(const Config& c) {
   PICP_REQUIRE(threads >= 0, "run.threads must be >= 0 (0 = all cores)");
   s.threads = static_cast<std::size_t>(threads);
   s.checkpoint_every = c.get_int("run.checkpoint_every", s.checkpoint_every);
-  s.telemetry = c.get_bool("run.telemetry", s.telemetry);
 
   s.mapper_kind = c.get_string("mapping.mapper", s.mapper_kind);
   s.num_ranks =

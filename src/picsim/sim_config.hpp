@@ -50,10 +50,6 @@ struct SimConfig {
   /// uninterrupted trace byte for byte (see DESIGN.md, "Trace format v2 &
   /// crash safety").
   std::int64_t checkpoint_every = 0;
-  /// Kill-switch for the telemetry layer: with `run.telemetry = false` the
-  /// CLI's `--telemetry-dir` is ignored and every instrumentation site in
-  /// the run is a no-op (see DESIGN.md, "Telemetry").
-  bool telemetry = true;
 
   // --- Mapping and prediction ----------------------------------------------
   std::string mapper_kind = "bin";

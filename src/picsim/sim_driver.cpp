@@ -337,11 +337,9 @@ SimResult SimDriver::run(const std::string& trace_path,
 
   for (std::int64_t iter = start_iter; iter < config_.num_iterations;
        ++iter) {
-    if (telemetry::enabled()) {
-      static telemetry::Counter& iters =
-          telemetry::registry().counter("picsim.iterations");
-      iters.add();
-    }
+    static telemetry::Counter& iters =
+        telemetry::registry().counter("picsim.iterations");
+    iters.add();
     const bool sampling = iter % config_.sample_every == 0;
     if (collide || sampling) {
       const telemetry::ScopedSpan span("picsim.grid_rebuild", "picsim");
@@ -505,31 +503,23 @@ SimResult SimDriver::run(const std::string& trace_path,
     const auto physics_chunk = [&](std::size_t begin, std::size_t end) {
       const std::span<const std::uint32_t> ids(all_ids.data() + begin,
                                                end - begin);
-      if (telemetry::enabled()) {
-        // Phase handles are process-stable; fetch them once per process so
-        // the per-chunk cost stays at clock reads + relaxed adds.
-        static telemetry::Phase& ph_interp =
-            telemetry::phase("picsim.interpolate");
-        static telemetry::Phase& ph_eq = telemetry::phase("picsim.eq_solve");
-        static telemetry::Phase& ph_push = telemetry::phase("picsim.push");
-        {
-          const telemetry::ScopedSpan span("picsim.interpolate", ph_interp);
-          kernels.interpolate(store.positions(), ids, time, gas_at_particles);
-        }
-        {
-          const telemetry::ScopedSpan span("picsim.eq_solve", ph_eq);
-          kernels.eq_solve(store.velocities(), gas_at_particles, grid, ids,
-                           next_velocities);
-        }
-        const telemetry::ScopedSpan span("picsim.push", ph_push);
-        kernels.push(store.positions(), next_velocities, ids, next_positions);
-      } else {
+      // Phase handles are process-stable; fetch them once per process so
+      // the per-chunk cost stays at clock reads + relaxed adds.
+      static telemetry::Phase& ph_interp =
+          telemetry::phase("picsim.interpolate");
+      static telemetry::Phase& ph_eq = telemetry::phase("picsim.eq_solve");
+      static telemetry::Phase& ph_push = telemetry::phase("picsim.push");
+      {
+        const telemetry::ScopedSpan span("picsim.interpolate", ph_interp);
         kernels.interpolate(store.positions(), ids, time, gas_at_particles);
+      }
+      {
+        const telemetry::ScopedSpan span("picsim.eq_solve", ph_eq);
         kernels.eq_solve(store.velocities(), gas_at_particles, grid, ids,
                          next_velocities);
-        kernels.push(store.positions(), next_velocities, ids,
-                     next_positions);
       }
+      const telemetry::ScopedSpan span("picsim.push", ph_push);
+      kernels.push(store.positions(), next_velocities, ids, next_positions);
     };
     if (pool != nullptr)
       pool->parallel_for(np, kSolverGrain, physics_chunk);
@@ -546,11 +536,9 @@ SimResult SimDriver::run(const std::string& trace_path,
     if (trace && config_.checkpoint_every > 0 && !final_iter &&
         done % config_.checkpoint_every == 0) {
       const telemetry::ScopedSpan span("picsim.checkpoint", "picsim");
-      if (telemetry::enabled()) {
-        static telemetry::Counter& ckpts =
-            telemetry::registry().counter("picsim.checkpoints");
-        ckpts.add();
-      }
+      static telemetry::Counter& ckpts =
+          telemetry::registry().counter("picsim.checkpoints");
+      ckpts.add();
       trace->sync();  // trace bytes must be durable before the ckpt says so
       SimCheckpoint ckpt;
       ckpt.config_fingerprint = fingerprint;
@@ -585,13 +573,10 @@ SimResult SimDriver::run(const std::string& trace_path,
       if (!ckpt_path.empty()) std::remove(ckpt_path.c_str());
     }
   }
-  if (telemetry::enabled()) {
-    telemetry::registry().counter("picsim.trace_samples")
-        .add(result.trace_samples);
-    telemetry::registry().gauge("picsim.particles")
-        .set(static_cast<double>(np));
-    if (pool != nullptr) telemetry::publish_pool_stats(pool->stats());
-  }
+  telemetry::registry().counter("picsim.trace_samples")
+      .add(result.trace_samples);
+  telemetry::registry().gauge("picsim.particles").set(static_cast<double>(np));
+  if (pool != nullptr) telemetry::publish_pool_stats(pool->stats());
   result.final_positions.assign(store.positions().begin(),
                                 store.positions().end());
   result.final_velocities.assign(store.velocities().begin(),

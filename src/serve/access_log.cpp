@@ -62,8 +62,7 @@ void AccessLog::write(const RequestTrace& trace) {
   const std::string line = access_log_line(trace);
   std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) {  // a failed reopen disabled the log
-    if (telemetry::enabled())
-      telemetry::registry().counter("serve.access_log.dropped").add();
+    telemetry::registry().counter("serve.access_log.dropped").add();
     return;
   }
   std::fwrite(line.data(), 1, line.size(), file_);
@@ -85,8 +84,7 @@ void AccessLog::rotate_locked() {
   const std::string rotated = options_.path + ".1";
   if (std::rename(options_.path.c_str(), rotated.c_str()) != 0) {
     PICP_LOG_WARN << "access log rotation failed: " << std::strerror(errno);
-    if (telemetry::enabled())
-      telemetry::registry().counter("serve.access_log.rotation_failures").add();
+    telemetry::registry().counter("serve.access_log.rotation_failures").add();
   }
   file_ = std::fopen(options_.path.c_str(), "ae");
   if (file_ == nullptr) {

@@ -353,10 +353,8 @@ int EpollReactor::run_once(int max_wait_ms) {
   resume_accept_if_due();
   reap_dead();
   publish_gauges();
-  if (telemetry::enabled())
-    metrics_.cycle_us.set(
-        std::chrono::duration<double, std::micro>(now() - cycle_start)
-            .count());
+  metrics_.cycle_us.set(
+      std::chrono::duration<double, std::micro>(now() - cycle_start).count());
   return n;
 }
 
@@ -449,12 +447,11 @@ void EpollReactor::handle_readable(Conn& conn) {
       if (!conn.slots.empty() || conn.out.size() > conn.out_pos) {
         // Responses are still owed / buffered; the peer only half-closed.
         conn.close_after_flush = true;
-      } else if (conn.parser->mid_message()) {
-        // Dirty EOF: the peer walked away mid-message. Nothing useful to
-        // answer — a 400 would race the RST — so just drop it.
-        close_conn(conn);
       } else {
-        close_conn(conn);  // clean close between messages
+        // A clean close between messages, or a dirty EOF: the peer walked
+        // away mid-message. Nothing useful answers a dirty EOF — a 400
+        // would race the RST — so both just drop the connection.
+        close_conn(conn);
       }
       return;
     }
@@ -587,26 +584,22 @@ void EpollReactor::finalize_trace(RequestTrace& trace, int status) {
   trace.status = status;
   trace.total_us = trace.now_us() - trace.arrived_us;
   ++finished_requests_;
-  if (telemetry::enabled()) {
-    auto& reg = telemetry::registry();
-    const std::string route = route_of(trace.path);
-    reg.histogram(
-           "serve.red.total_us." + route + "." + status_class_of(status),
-           kRedBoundsUs)
-        .observe(trace.total_us);
-    reg.histogram("serve.red.queue_us." + route, kRedBoundsUs)
-        .observe(trace.batch_wait_us + trace.queue_wait_us);
-    reg.histogram("serve.red.handler_us." + route, kRedBoundsUs)
-        .observe(trace.handler_us);
-    const bool sampled =
-        options_.trace_sample_n > 0 &&
-        finished_requests_ % options_.trace_sample_n == 0;
-    const bool slow =
-        options_.slow_request_ms > 0 &&
-        trace.total_us >= static_cast<double>(options_.slow_request_ms) * 1e3;
-    if ((sampled || slow) && telemetry::tracing())
-      trace.emit_spans(telemetry::tracer());
-  }
+  auto& reg = telemetry::registry();
+  const std::string route = route_of(trace.path);
+  reg.histogram("serve.red.total_us." + route + "." + status_class_of(status),
+                kRedBoundsUs)
+      .observe(trace.total_us);
+  reg.histogram("serve.red.queue_us." + route, kRedBoundsUs)
+      .observe(trace.batch_wait_us + trace.queue_wait_us);
+  reg.histogram("serve.red.handler_us." + route, kRedBoundsUs)
+      .observe(trace.handler_us);
+  const bool sampled = options_.trace_sample_n > 0 &&
+                       finished_requests_ % options_.trace_sample_n == 0;
+  const bool slow =
+      options_.slow_request_ms > 0 &&
+      trace.total_us >= static_cast<double>(options_.slow_request_ms) * 1e3;
+  if ((sampled || slow) && telemetry::tracing())
+    trace.emit_spans(telemetry::tracer());
   if (options_.observer) options_.observer(trace);
 }
 
@@ -904,7 +897,6 @@ HttpResponse EpollReactor::busy_response() const {
 }
 
 void EpollReactor::publish_gauges() {
-  if (!telemetry::enabled()) return;
   const std::size_t executions = pending();
   metrics_.active_connections.set(static_cast<double>(active_connections_));
   metrics_.queue_depth.set(static_cast<double>(executions));

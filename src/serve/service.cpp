@@ -327,8 +327,7 @@ std::shared_ptr<const WorkloadResult> PredictionService::workload_for(
         // The stage exists only on actual generation — its absence on a
         // repeat query is the observable proof of a cache hit.
         const telemetry::ScopedSpan stage("generate", "serve");
-        if (telemetry::enabled())
-          telemetry::registry().counter("serve.workload.generations").add();
+        telemetry::registry().counter("serve.workload.generations").add();
         TraceReader cursor = trace_;
         return pipeline_->generate_workload(cursor, config);
       });
@@ -505,11 +504,9 @@ HttpResponse PredictionService::handle(const HttpRequest& request) {
     response.status = 504;
     response.set_header("X-Picp-Deadline-Stage", e.stage());
     response.body = error_body(504, e.what());
-    if (telemetry::enabled()) {
-      auto& reg = telemetry::registry();
-      reg.counter("serve.deadline_exceeded").add();
-      reg.counter("serve.deadline.stage." + e.stage()).add();
-    }
+    auto& reg = telemetry::registry();
+    reg.counter("serve.deadline_exceeded").add();
+    reg.counter("serve.deadline.stage." + e.stage()).add();
   } catch (const std::exception& e) {
     PICP_LOG_WARN << "request " << request.method << " " << request.target
                   << " failed: " << e.what();

@@ -151,13 +151,12 @@ void configure(const SessionOptions& options) {
   g_session = Session();
   g_session.directory = options.directory;
   g_session.cpu_started = process_cpu_seconds();
-  const bool on = options.enabled && PICP_TELEMETRY_ENABLED != 0;
-  if (on && !options.directory.empty())
+  if (options.enabled && !options.directory.empty())
     std::filesystem::create_directories(options.directory);
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-  detail::g_tracing.store(on && !options.directory.empty(),
+  detail::g_enabled.store(options.enabled, std::memory_order_relaxed);
+  detail::g_tracing.store(options.enabled && !options.directory.empty(),
                           std::memory_order_relaxed);
-  if (on) tracer().set_thread_name("main");
+  if (options.enabled) tracer().set_thread_name("main");
 }
 
 void set_run_info(const std::string& command,
@@ -174,7 +173,6 @@ void add_run_annotation(const std::string& key, const std::string& value) {
 }
 
 void publish_pool_stats(const ThreadPoolStats& stats) {
-  if (!enabled()) return;
   auto& reg = registry();
   reg.gauge("threadpool.workers")
       .set(static_cast<double>(stats.worker_busy_seconds.size()));

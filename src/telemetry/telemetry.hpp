@@ -11,22 +11,16 @@
 #include "telemetry/registry.hpp"
 #include "telemetry/span_tracer.hpp"
 
-// Compile-time kill switch (-DPICP_TELEMETRY=OFF at configure time): with
-// it off, enabled() folds to false and every instrumentation site compiles
-// down to dead branches the optimizer removes.
-#ifndef PICP_TELEMETRY_ENABLED
-#define PICP_TELEMETRY_ENABLED 1
-#endif
-
 namespace picp {
 struct ThreadPoolStats;  // util/thread_pool.hpp
 }
 
-/// Process-wide telemetry session: one metrics registry + one span tracer
-/// + per-run manifest assembly. All hot-path entry points are guarded by a
-/// single relaxed atomic load (`enabled()`), so a run without telemetry
-/// pays one predictable branch per instrumentation site and allocates
-/// nothing — the INI/CLI kill-switch path is a true no-op.
+/// Process-wide telemetry: one metrics registry + one span tracer +
+/// per-run manifest assembly. The session is the one switch, and it gates
+/// only time: phase totals and spans need a session, while every counter,
+/// gauge and histogram in the registry records in every process. Without
+/// a session a stage timer costs one relaxed load and one thread-local
+/// read and allocates nothing.
 namespace picp::telemetry {
 
 namespace detail {
@@ -34,22 +28,15 @@ extern std::atomic<bool> g_enabled;
 extern std::atomic<bool> g_tracing;
 }
 
+/// True while a session is open: stage timers add to their phase totals.
 inline bool enabled() {
-#if PICP_TELEMETRY_ENABLED
   return detail::g_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 /// True while the session buffers Chrome-trace spans: only a session with
 /// a directory, because finalize() writes them nowhere else.
 inline bool tracing() {
-#if PICP_TELEMETRY_ENABLED
   return detail::g_tracing.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
 }
 
 /// CPU time consumed by the calling thread (seconds); 0 where unsupported.
@@ -57,9 +44,9 @@ double thread_cpu_seconds();
 /// CPU time consumed by the whole process (seconds); 0 where unsupported.
 double process_cpu_seconds();
 
-/// The process-wide instances. Always constructed (registration is legal
-/// with telemetry off — the metrics simply stay zero and unbuffered), so
-/// cached Counter/Phase references never dangle across sessions.
+/// The process-wide instances. Always constructed, and the registry's
+/// metrics record with or without a session, so cached Counter/Phase
+/// references never dangle across sessions.
 MetricsRegistry& registry();
 SpanTracer& tracer();
 
@@ -154,12 +141,12 @@ class StageLog {
 };
 
 /// RAII stage timer, the program's one way to time a stage. On close it
-/// adds wall and thread-CPU time to its phase total if telemetry is on,
+/// adds wall and thread-CPU time to its phase total if a session is open,
 /// and appends its exclusive time to the thread's current StageLog if
 /// there is one. Only with no log current does it record a Chrome-trace
 /// span itself, and then only when the session writes spans (tracing());
-/// a log's stages reach the trace when its owner emits them. With
-/// telemetry off and no log current a span costs one relaxed load and one
+/// a log's stages reach the trace when its owner emits them. With no
+/// session and no log current a span costs one relaxed load and one
 /// thread-local read; nothing is allocated or clocked. `name` must be a
 /// string literal (it is stored, not copied).
 class ScopedSpan {
@@ -200,8 +187,8 @@ class ScopedSpan {
 // --- Session lifecycle ------------------------------------------------------
 
 struct SessionOptions {
-  /// Master switch; `false` configures a disabled session (hot paths
-  /// no-op). Also forced off when compiled with PICP_TELEMETRY=OFF.
+  /// `false` leaves no session open: configure() still zeroes every value,
+  /// and registry metrics still record, but no phase total or span is kept.
   bool enabled = true;
   /// Output directory for finalize(); empty = metrics and phase totals
   /// in memory only (the daemon without --telemetry-dir, tests), and no

@@ -66,7 +66,6 @@ bool read_footer_at(int fd, std::uint64_t pos, std::uint64_t& num_samples,
 }
 
 void count_salvage_scan(const SalvageReport& report) {
-  if (!telemetry::enabled()) return;
   auto& reg = telemetry::registry();
   reg.counter("trace.salvage_scans").add();
   reg.counter("trace.salvage_samples").add(report.valid_samples);
@@ -313,7 +312,7 @@ bool TraceReader::read_next(TraceSample& sample) {
     std::memcpy(sample.positions.data(), payload, np * sizeof(Vec3));
   }
   ++cursor_;
-  if (telemetry::enabled()) count_sample_read(frame);
+  count_sample_read(frame);
   // End of a strict read: the frame CRCs must reproduce the sealed
   // footer's whole-file digest (catches e.g. reordered frames whose
   // individual checksums are clean). Every cursor starts at sample 0 and

@@ -103,7 +103,6 @@ class WorkloadGenerator {
 
   std::vector<Rank> owners_;
   std::vector<Rank> prev_owners_;
-  std::vector<Rank> ghost_ranks_;  // scratch
 };
 
 }  // namespace picp

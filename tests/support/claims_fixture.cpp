@@ -149,10 +149,8 @@ ClaimsFixture build_fixture() {
       [&timings_base_path, &timings_top_path](const std::string& path) {
         KernelTimings merged;
         for (const std::string& source :
-             {timings_base_path, timings_top_path}) {
-          const KernelTimings loaded = KernelTimings::load_csv(source);
-          for (const TimingRecord& rec : loaded.records()) merged.add(rec);
-        }
+             {timings_base_path, timings_top_path})
+          merged.append(KernelTimings::load_csv(source));
         ModelGenConfig mg;
         mg.method = FitMethod::kLinear;
         const ModelSet models = train_models(merged, mg);

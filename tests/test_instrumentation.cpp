@@ -1,11 +1,18 @@
 // measure_adaptive repetition policy, pinned down with an injected fake
 // clock. Real wall-clock assertions on this loop are flaky under sanitizers
 // and loaded CI machines; the scripted clock makes warm-up, min_seconds
-// adaptation, max_reps capping, and min-of-windows selection exact.
+// adaptation, max_reps capping, and min-of-windows selection exact. Also
+// which KernelTimings operations count as measurements.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
 
 #include "picsim/instrumentation.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace picp {
 namespace {
@@ -86,6 +93,50 @@ TEST(MeasureAdaptive, DefaultStopwatchPathStillMeasures) {
   EXPECT_GE(per_rep, 0.0);
   EXPECT_GE(calls, 2);       // warm-up + at least one timed rep
   EXPECT_LE(calls, 1 + 4);
+}
+
+std::uint64_t push_measurements() {
+  return telemetry::registry()
+      .counter("picsim.kernel.push.measurements")
+      .value();
+}
+
+/// Three push rows, as `simulate --timings` writes them.
+std::string write_three_row_csv() {
+  const std::string path = testing::TempDir() + "/picp_loaded_timings_" +
+                           std::to_string(::getpid()) + ".csv";
+  std::ofstream(path) << "interval,rank,kernel,seconds,np,ngp,nmove,filter,"
+                         "nel\n"
+                         "0,0,push,1.5e-6,10,0,0,0.02,4\n"
+                         "0,1,push,2.5e-6,20,0,0,0.02,4\n"
+                         "1,0,push,3.5e-6,30,0,0,0.02,4\n";
+  return path;
+}
+
+TEST(KernelTimingsCounts, LoadingACsvMeasuresNothing) {
+  // The rows were counted by the run that measured them.
+  telemetry::configure(telemetry::SessionOptions{});
+  const std::string path = write_three_row_csv();
+  const KernelTimings loaded = KernelTimings::load_csv(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(push_measurements(), 0u);
+}
+
+TEST(KernelTimingsCounts, AppendingCountsNothingAndAddCountsOnce) {
+  telemetry::configure(telemetry::SessionOptions{});
+  const std::string path = write_three_row_csv();
+  KernelTimings merged;
+  merged.append(KernelTimings::load_csv(path));
+  merged.append(KernelTimings::load_csv(path));
+  std::remove(path.c_str());
+  ASSERT_EQ(merged.size(), 6u);
+  EXPECT_EQ(merged.records()[5].np, 30.0);
+  EXPECT_EQ(push_measurements(), 0u);
+
+  const TimingRecord measured = merged.records()[0];
+  merged.add(measured);  // a measurement: counted once
+  EXPECT_EQ(push_measurements(), 1u);
 }
 
 }  // namespace

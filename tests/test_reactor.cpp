@@ -1040,8 +1040,6 @@ class ReactorStageTest : public ReactorServiceTest {
 };
 
 TEST_F(ReactorStageTest, SpansAreKeptOnlyForASessionThatWritesThem) {
-  if (!PICP_TELEMETRY_ENABLED)
-    GTEST_SKIP() << "built with PICP_TELEMETRY=OFF: no phases or spans";
   mixed_traffic();
   ASSERT_EQ(observed_.size(), 7u);
   EXPECT_EQ(telemetry::tracer().span_count(), 0u)
@@ -1069,6 +1067,24 @@ TEST_F(ReactorStageTest, SpansAreKeptOnlyForASessionThatWritesThem) {
   EXPECT_EQ(telemetry::tracer().span_count(), sampled);
   telemetry::configure(telemetry::SessionOptions{});
   std::filesystem::remove_all(session.directory);
+}
+
+TEST_F(ReactorStageTest, CountsRecordWithoutATelemetrySession) {
+  // The session gates only time: with none open, a cold miss and its
+  // repeat still count in every layer, and no phase total moves.
+  telemetry::SessionOptions none;
+  none.enabled = false;
+  telemetry::configure(none);
+  ASSERT_EQ(roundtrip(predict_wire("6")).status, 200);
+  ASSERT_EQ(roundtrip(predict_wire("6")).status, 200);
+  EXPECT_EQ(red_requests(), 2u);
+  EXPECT_EQ(count("serve.workload.generations"), 1u);
+  EXPECT_EQ(count("serve.cache.workload.misses"), 1u);
+  EXPECT_GT(count("des.events"), 0u);
+  EXPECT_GT(count("trace.read_samples"), 0u);
+  for (const telemetry::PhaseTotal& total : telemetry::phase_totals())
+    EXPECT_EQ(total.count, 0u) << total.name;
+  telemetry::configure(telemetry::SessionOptions{});
 }
 
 TEST_F(ReactorStageTest, ColdMissTraceSplitsByLayer) {

@@ -60,31 +60,6 @@ grep -q 'traceEvents' tele_sim/trace.json \
 grep -q 'picsim.interpolate' tele_sim/trace.json \
     || { echo "FAIL: no picsim.interpolate spans in trace.json" >&2; exit 1; }
 
-echo "== kill-switch: run.telemetry = false =="
-cat > off.ini <<'EOF'
-[mesh]
-nelx = 8
-nely = 8
-nelz = 16
-
-[bed]
-num_particles = 2000
-
-[run]
-num_iterations = 100
-sample_every = 50
-telemetry = false
-
-[mapping]
-num_ranks = 8
-EOF
-"$PICPREDICT" simulate off.ini --trace off.trace --telemetry-dir tele_off \
-    2> off.stderr || { cat off.stderr >&2; exit 1; }
-grep -q 'telemetry-dir ignored' off.stderr \
-    || { echo "FAIL: expected a kill-switch warning" >&2; exit 1; }
-[[ ! -e tele_off/manifest.json ]] \
-    || { echo "FAIL: kill-switch still wrote a manifest" >&2; exit 1; }
-
 echo "== train + predict with telemetry =="
 "$PICPREDICT" train mini.csv --out mini.models --method linear
 "$PICPREDICT" predict mini.trace --models mini.models --ranks 4,8 \

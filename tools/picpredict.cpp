@@ -248,20 +248,14 @@ int cmd_simulate(int argc, char** argv) {
   SimDriver driver(cfg);
   RunOptions options;
   options.resume = flags.count("resume") > 0;
-  bool telemetry_on = false;
-  if (flags.count("telemetry-dir") > 0) {
-    if (!cfg.telemetry) {
-      std::fprintf(stderr, "warning: --telemetry-dir ignored — the config "
-                           "sets run.telemetry = false\n");
-    } else {
-      telemetry::SessionOptions session;
-      session.directory = flags.at("telemetry-dir");
-      telemetry::configure(session);
-      telemetry::set_run_info("simulate", sim_config_fingerprint(cfg),
-                              driver.threads());
-      telemetry::add_run_annotation("config", argv[2]);
-      telemetry_on = true;
-    }
+  const bool telemetry_on = flags.count("telemetry-dir") > 0;
+  if (telemetry_on) {
+    telemetry::SessionOptions session;
+    session.directory = flags.at("telemetry-dir");
+    telemetry::configure(session);
+    telemetry::set_run_info("simulate", sim_config_fingerprint(cfg),
+                            driver.threads());
+    telemetry::add_run_annotation("config", argv[2]);
   }
   const SimResult result = driver.run(require_flag(flags, "trace"), options);
   if (telemetry_on) telemetry::finalize();
