@@ -118,13 +118,12 @@ BENCHMARK(BM_CollisionRebuild)->Arg(30000);
 void BM_PhysicsStepThreads(benchmark::State& state) {
   const std::size_t n = 30000;
   KernelBench b(n);
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  ThreadPool pool(threads);
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   CollisionGrid grid(0.05);
   grid.rebuild(b.positions, &pool);
   std::vector<Vec3> next_vel(n);
   std::vector<Vec3> next_pos(n);
-  const auto chunk = [&](std::size_t begin, std::size_t end) {
+  const auto chunk = [&](std::size_t, std::size_t begin, std::size_t end) {
     const std::span<const std::uint32_t> ids(b.ids.data() + begin,
                                              end - begin);
     b.kernels.interpolate(b.positions, ids, 0.5, b.gas_values);
@@ -132,10 +131,7 @@ void BM_PhysicsStepThreads(benchmark::State& state) {
     b.kernels.push(b.positions, next_vel, ids, next_pos);
   };
   for (auto _ : state) {
-    if (threads > 1)
-      pool.parallel_for(n, 256, chunk);
-    else
-      chunk(0, n);
+    parallel_for(&pool, n, 256, chunk);
     benchmark::DoNotOptimize(next_pos.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
@@ -147,14 +143,13 @@ BENCHMARK(BM_PhysicsStepThreads)
     ->Arg(8)
     ->UseRealTime();
 
-// The parallel counting-sort rebuild on its own.
+// The chunked rebuild on its own; one worker prices the one inline chunk.
 void BM_CollisionRebuildThreads(benchmark::State& state) {
   KernelBench b(30000);
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  ThreadPool pool(threads);
+  ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   CollisionGrid grid(0.01);
   for (auto _ : state) {
-    grid.rebuild(b.positions, threads > 1 ? &pool : nullptr);
+    grid.rebuild(b.positions, &pool);
     benchmark::DoNotOptimize(grid.cell_count());
   }
   state.SetItemsProcessed(state.iterations() * 30000);

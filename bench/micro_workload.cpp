@@ -1,11 +1,14 @@
 // Micro-benchmarks of the Dynamic Workload Generator internals: the
 // ghost-rank search (the generator's dominant cost) and full per-interval
-// accounting throughput.
+// accounting throughput, inline and split over a pool.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "mapping/element_mapper.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 #include "workload/ghost_finder.hpp"
 
@@ -42,6 +45,8 @@ void BM_GhostRanksNear(benchmark::State& state) {
 }
 BENCHMARK(BM_GhostRanksNear)->Arg(12)->Arg(23)->Arg(46)->Arg(92);
 
+// Args: particles, then the workers of the pool the ghost search splits
+// over (0 = no pool: the one inline chunk the offline pipeline runs).
 void BM_IntervalAccounting(benchmark::State& state) {
   World w;
   const auto positions = cloud(static_cast<std::size_t>(state.range(0)));
@@ -50,20 +55,21 @@ void BM_IntervalAccounting(benchmark::State& state) {
   mapper.map(positions, owners);
   WorkloadParams params;
   params.ghost_radius = 0.023;
+  std::unique_ptr<ThreadPool> pool;
+  if (state.range(1) > 0)
+    pool = std::make_unique<ThreadPool>(
+        static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
-    WorkloadResult result;
-    result.num_ranks = 1044;
-    result.comp_real = CompMatrix(1044, 1);
-    result.comp_ghost = CompMatrix(1044, 1);
-    result.comm_real = CommMatrix(1044, 1);
-    result.comm_ghost = CommMatrix(1044, 1);
+    WorkloadResult result(1044, 1);
     accumulate_interval_workload(w.mesh, w.partition, positions, owners, {},
-                                 params, 0, result);
+                                 params, 0, result, pool.get());
     benchmark::DoNotOptimize(result.comp_real.interval_total(0));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_IntervalAccounting)->Arg(10000)->Arg(30000);
+BENCHMARK(BM_IntervalAccounting)
+    ->ArgsProduct({{10000, 30000}, {0, 2, 4}})
+    ->UseRealTime();
 
 void BM_CommMatrixAdd(benchmark::State& state) {
   CommMatrix comm(8352, 1);

@@ -103,7 +103,7 @@ void MapeSummary::add(const ValidationReport& report) {
   for (const KernelAccuracy& k : report.kernels) {
     weighted_mape_ += k.mape * static_cast<double>(k.samples);
     aggregate_sum_ += k.aggregate_mape;
-    peak_ = std::max(peak_, k.mape);
+    if (k.samples >= kMinPeakRecords) peak_ = std::max(peak_, k.mape);
     samples_ += k.samples;
     ++kernels_;
   }

@@ -73,6 +73,11 @@ BinGrowth relaxed_bin_growth(const std::string& trace_path,
 /// reports (sample-weighted per-record MAPE, mean per-kernel aggregate
 /// MAPE, worst per-kernel MAPE).
 struct MapeSummary {
+  /// Fewest records above the floor for a kernel to set the worst-kernel
+  /// peak: a kernel with one or two records reports timer noise, not its
+  /// model. Every record still counts in both averages.
+  static constexpr std::size_t kMinPeakRecords = 10;
+
   void add(const ValidationReport& report);
   double record_mape() const;     // paper's per-sample average
   double aggregate_mape() const;  // paper's 8.42% figure

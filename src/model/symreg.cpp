@@ -175,11 +175,11 @@ class GpEngine {
   // --- fitness --------------------------------------------------------------
 
   void evaluate_all(std::vector<Individual>& population) {
-    pool_.parallel_for(population.size(),
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i)
-                           evaluate_one(population[i]);
-                       });
+    parallel_for(&pool_, population.size(), /*grain=*/2,
+                 [&](std::size_t, std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i)
+                     evaluate_one(population[i]);
+                 });
     best_mape_ = kInf;
     for (const Individual& ind : population) {
       if (!std::isfinite(ind.fitness)) continue;

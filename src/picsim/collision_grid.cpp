@@ -11,11 +11,10 @@ namespace picp {
 
 namespace {
 
-/// Parallel counting only pays off when the per-chunk count arrays stay
-/// cache-resident; beyond this the serial count from cached cell indices
-/// wins (and avoids a cells × workers scratch allocation).
-constexpr std::size_t kMaxParallelCountCells = 1u << 16;
-constexpr std::size_t kMinParallelParticles = 4096;
+/// Grain of the split rule (util/thread_pool.hpp): each pass over the
+/// particles costs nanoseconds apiece, so a rebuild stays inline under 4096
+/// particles.
+constexpr std::size_t kRebuildGrain = 2048;
 
 }  // namespace
 
@@ -30,36 +29,18 @@ void CollisionGrid::rebuild(std::span<const Vec3> positions,
   positions_ = positions;
   PICP_REQUIRE(!positions.empty(), "rebuild with no particles");
   const std::size_t n = positions.size();
-  if (pool != nullptr &&
-      (pool->size() <= 1 || n < kMinParallelParticles))
-    pool = nullptr;
 
   // Tight particle bounds, slightly inflated so boundary particles never
   // sit exactly on the upper faces. min/max are exact, so merging per-chunk
   // partial boxes gives the identical box for any chunking.
+  std::vector<Aabb> partial(chunk_count(pool, n, kRebuildGrain));
+  parallel_for(pool, n, kRebuildGrain,
+               [&](std::size_t c, std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i)
+                   partial[c].expand(positions[i]);
+               });
   Aabb box;
-  if (pool == nullptr) {
-    for (const Vec3& p : positions) box.expand(p);
-  } else {
-    const std::size_t workers = pool->size();
-    const std::size_t chunk = (n + workers - 1) / workers;
-    std::vector<Aabb> partial((n + chunk - 1) / chunk);
-    for (std::size_t w = 0; w < partial.size(); ++w) {
-      const std::size_t begin = w * chunk;
-      const std::size_t end = std::min(begin + chunk, n);
-      pool->submit([&positions, &partial, w, begin, end] {
-        Aabb local;
-        for (std::size_t i = begin; i < end; ++i)
-          local.expand(positions[i]);
-        partial[w] = local;
-      });
-    }
-    pool->wait_idle();
-    for (const Aabb& b : partial) {
-      box.expand(b.lo);
-      box.expand(b.hi);
-    }
-  }
+  for (const Aabb& b : partial) box.expand(b);
   box = box.inflated(1e-9 + 1e-9 * box.extent().norm());
 
   // Cell size: the cutoff, enlarged if necessary to respect max_cells.
@@ -81,82 +62,28 @@ void CollisionGrid::rebuild(std::span<const Vec3> positions,
   }
   indexer_ = GridIndexer(box, dims[0], dims[1], dims[2]);
 
-  // Cell of every particle — the arithmetically heavy pass — chunked across
-  // workers; each slot is written by exactly one chunk.
+  // Cell of every particle, the arithmetically heavy pass; each slot is
+  // written by exactly one chunk.
   cell_index_.resize(n);
-  const auto index_range = [this, &positions](std::size_t begin,
-                                              std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      cell_index_[i] =
-          static_cast<std::uint32_t>(indexer_.flat_cell_of(positions[i]));
-  };
-  if (pool == nullptr)
-    index_range(0, n);
-  else
-    pool->parallel_for(n, 1024, index_range);
+  parallel_for(pool, n, kRebuildGrain,
+               [this, &positions](std::size_t, std::size_t begin,
+                                  std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i)
+                   cell_index_[i] = static_cast<std::uint32_t>(
+                       indexer_.flat_cell_of(positions[i]));
+               });
 
-  const std::size_t cells = cell_count();
-  if (pool != nullptr && cells <= kMaxParallelCountCells) {
-    // Counting sort with per-chunk cell counts. Chunks are contiguous
-    // in-order particle ranges, so concatenating chunk contents per cell
-    // reproduces the serial (stable, ascending id) cell order exactly.
-    const std::size_t workers = pool->size();
-    const std::size_t chunk = (n + workers - 1) / workers;
-    const std::size_t num_chunks = (n + chunk - 1) / chunk;
-    chunk_counts_.assign(num_chunks * cells, 0);
-    for (std::size_t w = 0; w < num_chunks; ++w) {
-      const std::size_t begin = w * chunk;
-      const std::size_t end = std::min(begin + chunk, n);
-      pool->submit([this, cells, w, begin, end] {
-        std::uint32_t* local = chunk_counts_.data() + w * cells;
-        for (std::size_t i = begin; i < end; ++i) ++local[cell_index_[i]];
-      });
-    }
-    pool->wait_idle();
-
-    // Serial merge: global prefix sums over cells, then rewrite each
-    // (chunk, cell) count into that chunk's write cursor.
-    cell_start_.resize(cells + 1);
-    cell_start_[0] = 0;
-    for (std::size_t c = 0; c < cells; ++c) {
-      std::uint32_t cursor = cell_start_[c];
-      for (std::size_t w = 0; w < num_chunks; ++w) {
-        const std::uint32_t count = chunk_counts_[w * cells + c];
-        chunk_counts_[w * cells + c] = cursor;
-        cursor += count;
-      }
-      cell_start_[c + 1] = cursor;
-    }
-
-    cell_items_.resize(n);
-    for (std::size_t w = 0; w < num_chunks; ++w) {
-      const std::size_t begin = w * chunk;
-      const std::size_t end = std::min(begin + chunk, n);
-      pool->submit([this, cells, w, begin, end] {
-        std::uint32_t* cursor = chunk_counts_.data() + w * cells;
+  stable_bucket_sort(
+      pool, n, kRebuildGrain, cell_count(), cells_,
+      [this](std::size_t, std::size_t begin, std::size_t end,
+             std::uint32_t* row) {
+        for (std::size_t i = begin; i < end; ++i) ++row[cell_index_[i]];
+      },
+      [this](std::size_t, std::size_t begin, std::size_t end,
+             std::uint32_t* row) {
         for (std::size_t i = begin; i < end; ++i)
-          cell_items_[cursor[cell_index_[i]]++] =
-              static_cast<std::uint32_t>(i);
+          cells_.ids[row[cell_index_[i]]++] = static_cast<std::uint32_t>(i);
       });
-    }
-    pool->wait_idle();
-    return;
-  }
-
-  // Serial counting sort from the cached cell indices.
-  counts_.assign(cells, 0);
-  for (std::size_t i = 0; i < n; ++i) ++counts_[cell_index_[i]];
-
-  cell_start_.resize(cells + 1);
-  cell_start_[0] = 0;
-  for (std::size_t c = 0; c < cells; ++c)
-    cell_start_[c + 1] = cell_start_[c] + counts_[c];
-
-  cell_items_.resize(n);
-  // counts_ becomes the per-cell write cursor.
-  std::copy(cell_start_.begin(), cell_start_.end() - 1, counts_.begin());
-  for (std::size_t i = 0; i < n; ++i)
-    cell_items_[counts_[cell_index_[i]]++] = static_cast<std::uint32_t>(i);
 }
 
 }  // namespace picp

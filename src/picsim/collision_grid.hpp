@@ -6,10 +6,9 @@
 
 #include "geom/grid_indexer.hpp"
 #include "geom/vec3.hpp"
+#include "util/thread_pool.hpp"
 
 namespace picp {
-
-class ThreadPool;
 
 /// Uniform cell list for particle-particle collision detection (the
 /// collision force F_c in the CMT-nek particle solver, Eq. 2). The grid is
@@ -24,12 +23,11 @@ class CollisionGrid {
   /// queried; `max_cells` caps the grid footprint.
   explicit CollisionGrid(double cutoff, std::size_t max_cells = 1u << 21);
 
-  /// Rebuild cell lists from current positions (counting sort, O(N)).
-  /// With a pool, the particle-bounds reduction, cell indexing, and the
-  /// counting sort itself run chunked across workers (per-chunk cell counts
-  /// merged by prefix sum); the resulting cell lists are bit-identical to
-  /// the serial build for any worker count because chunks are contiguous,
-  /// in-order particle ranges.
+  /// Rebuild cell lists from current positions (counting sort, O(N)). The
+  /// particle-bounds reduction, the cell indexing and the sort run chunked
+  /// over `pool` (util/thread_pool.hpp's rule; no pool is one chunk); the
+  /// cell lists are bit-identical for any pool, because chunks are
+  /// contiguous, in-order particle ranges.
   void rebuild(std::span<const Vec3> positions, ThreadPool* pool = nullptr);
 
   /// Visit up to `max_neighbors` particles within `cutoff` of particle i
@@ -53,9 +51,7 @@ class CollisionGrid {
         for (std::int64_t ix = lo[0]; ix <= hi[0]; ++ix) {
           const auto cell =
               static_cast<std::size_t>(indexer_.flat_index(ix, iy, iz));
-          for (std::uint32_t k = cell_start_[cell]; k < cell_start_[cell + 1];
-               ++k) {
-            const std::uint32_t j = cell_items_[k];
+          for (const std::uint32_t j : cells_.bucket(cell)) {
             if (j == i) continue;
             const Vec3 d = p - positions_[j];
             const double d2 = d.norm2();
@@ -76,11 +72,8 @@ class CollisionGrid {
   std::size_t max_cells_;
   GridIndexer indexer_;
   std::span<const Vec3> positions_;
-  std::vector<std::uint32_t> cell_start_;  // prefix sums, size cells+1
-  std::vector<std::uint32_t> cell_items_;  // particle ids grouped by cell
-  std::vector<std::uint32_t> counts_;      // scratch
+  Buckets cells_;                          // particle ids grouped by cell
   std::vector<std::uint32_t> cell_index_;  // scratch: cell of each particle
-  std::vector<std::uint32_t> chunk_counts_;  // scratch: per-chunk cell counts
 };
 
 }  // namespace picp

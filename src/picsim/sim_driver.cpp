@@ -18,197 +18,66 @@ namespace picp {
 
 namespace {
 
-/// Minimum particles before the per-interval builds bother going parallel —
-/// below this the chunk bookkeeping costs more than the loop.
-constexpr std::size_t kMinParallelBuild = 4096;
-/// Minimum particles per chunk in the threaded solver loop.
+/// Grains of the split rule (util/thread_pool.hpp), which splits a loop
+/// only from two grains on: the per-interval builds stay inline under 4096
+/// particles, and a solver chunk holds at least 256 particles.
+constexpr std::size_t kBuildGrain = 2048;
 constexpr std::size_t kSolverGrain = 256;
 
-struct ChunkPlan {
-  std::size_t chunk = 0;  // particles per chunk
-  std::size_t count = 0;  // number of chunks
-};
-
-ChunkPlan plan_chunks(std::size_t n, std::size_t workers) {
-  ChunkPlan plan;
-  plan.chunk = (n + workers - 1) / workers;
-  plan.count = (n + plan.chunk - 1) / plan.chunk;
-  return plan;
-}
-
-/// Particle ids grouped by owning rank (counting sort), giving each virtual
-/// rank's particle list for per-rank kernel execution. The parallel build
-/// counts per chunk and merges by prefix sum; chunks are contiguous
-/// ascending particle ranges, so the merged fill is bit-identical to the
-/// serial counting sort for any worker count.
-class RankBuckets {
- public:
-  void build(std::span<const Rank> owners, Rank num_ranks, ThreadPool* pool) {
-    const std::size_t n = owners.size();
-    const auto ranks = static_cast<std::size_t>(num_ranks);
-    offsets_.assign(ranks + 1, 0);
-    ids_.resize(n);
-    if (pool == nullptr || pool->size() <= 1 || n < kMinParallelBuild) {
-      for (const Rank r : owners) ++offsets_[static_cast<std::size_t>(r) + 1];
-      for (std::size_t r = 1; r < offsets_.size(); ++r)
-        offsets_[r] += offsets_[r - 1];
-      cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-      for (std::size_t i = 0; i < n; ++i)
-        ids_[cursor_[static_cast<std::size_t>(owners[i])]++] =
-            static_cast<std::uint32_t>(i);
-      return;
-    }
-
-    const ChunkPlan plan = plan_chunks(n, pool->size());
-    chunk_counts_.assign(plan.count * ranks, 0);
-    for (std::size_t w = 0; w < plan.count; ++w) {
-      const std::size_t begin = w * plan.chunk;
-      const std::size_t end = std::min(begin + plan.chunk, n);
-      pool->submit([this, owners, ranks, w, begin, end] {
-        std::uint32_t* local = chunk_counts_.data() + w * ranks;
+/// Particle ids grouped by owning rank: each virtual rank's particle list
+/// for per-rank kernel execution.
+void bucket_by_rank(std::span<const Rank> owners, Rank num_ranks,
+                    ThreadPool* pool, Buckets& out) {
+  stable_bucket_sort(
+      pool, owners.size(), kBuildGrain, static_cast<std::size_t>(num_ranks),
+      out,
+      [owners](std::size_t, std::size_t begin, std::size_t end,
+               std::uint32_t* row) {
         for (std::size_t i = begin; i < end; ++i)
-          ++local[static_cast<std::size_t>(owners[i])];
-      });
-    }
-    pool->wait_idle();
-    // Global prefix sums over ranks; each (chunk, rank) count becomes that
-    // chunk's write cursor.
-    for (std::size_t r = 0; r < ranks; ++r) {
-      std::uint32_t cursor = offsets_[r];
-      for (std::size_t w = 0; w < plan.count; ++w) {
-        const std::uint32_t count = chunk_counts_[w * ranks + r];
-        chunk_counts_[w * ranks + r] = cursor;
-        cursor += count;
-      }
-      offsets_[r + 1] = cursor;
-    }
-    for (std::size_t w = 0; w < plan.count; ++w) {
-      const std::size_t begin = w * plan.chunk;
-      const std::size_t end = std::min(begin + plan.chunk, n);
-      pool->submit([this, owners, ranks, w, begin, end] {
-        std::uint32_t* cursor = chunk_counts_.data() + w * ranks;
+          ++row[static_cast<std::size_t>(owners[i])];
+      },
+      [owners, &out](std::size_t, std::size_t begin, std::size_t end,
+                     std::uint32_t* row) {
         for (std::size_t i = begin; i < end; ++i)
-          ids_[cursor[static_cast<std::size_t>(owners[i])]++] =
+          out.ids[row[static_cast<std::size_t>(owners[i])]++] =
               static_cast<std::uint32_t>(i);
       });
-    }
-    pool->wait_idle();
-  }
+}
 
-  std::span<const std::uint32_t> rank_ids(Rank r) const {
-    return {ids_.data() + offsets_[static_cast<std::size_t>(r)],
-            offsets_[static_cast<std::size_t>(r) + 1] -
-                offsets_[static_cast<std::size_t>(r)]};
-  }
-
- private:
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::uint32_t> ids_;
-  std::vector<std::uint32_t> cursor_;        // scratch
-  std::vector<std::uint32_t> chunk_counts_;  // scratch
-};
-
-/// (rank, particle) ghost pairs grouped by rank. Pairs are generated in
-/// ascending particle order and grouped with a stable counting sort by rank
-/// — O(pairs + R), replacing the former full std::sort while producing the
-/// identical (rank, then particle) order. The parallel build runs the ghost
-/// search per contiguous chunk and merges the per-chunk pair lists with the
-/// same prefix-sum cursors, so output is bit-identical for any worker count.
-class GhostLists {
- public:
-  void build(std::span<const Vec3> positions, std::span<const Rank> owners,
-             const GhostFinder& finder, Rank num_ranks, ThreadPool* pool) {
-    const std::size_t n = positions.size();
-    const auto ranks = static_cast<std::size_t>(num_ranks);
-    offsets_.assign(ranks + 1, 0);
-    if (pool == nullptr || pool->size() <= 1 || n < kMinParallelBuild) {
-      pair_ranks_.clear();
-      pair_ids_.clear();
-      std::vector<Rank> scratch;
-      for (std::size_t i = 0; i < n; ++i) {
-        finder.ranks_near(positions[i], owners[i], scratch);
-        for (const Rank r : scratch) {
-          pair_ranks_.push_back(r);
-          pair_ids_.push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-      for (const Rank r : pair_ranks_)
-        ++offsets_[static_cast<std::size_t>(r) + 1];
-      for (std::size_t r = 1; r < offsets_.size(); ++r)
-        offsets_[r] += offsets_[r - 1];
-      ids_.resize(pair_ids_.size());
-      cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-      for (std::size_t k = 0; k < pair_ids_.size(); ++k)
-        ids_[cursor_[static_cast<std::size_t>(pair_ranks_[k])]++] =
-            pair_ids_[k];
-      return;
-    }
-
-    const ChunkPlan plan = plan_chunks(n, pool->size());
-    locals_.resize(plan.count);
-    for (std::size_t w = 0; w < plan.count; ++w) {
-      const std::size_t begin = w * plan.chunk;
-      const std::size_t end = std::min(begin + plan.chunk, n);
-      pool->submit([this, positions, owners, &finder, ranks, w, begin, end] {
-        Local& local = locals_[w];
-        local.pair_ranks.clear();
-        local.pair_ids.clear();
-        local.counts.assign(ranks, 0);
+/// Ghost particle ids grouped by the rank they are ghosts on. The ghost
+/// search runs in the sort's count step, and each chunk keeps its (rank,
+/// particle) pairs, in particle order, for the scatter.
+void bucket_ghosts(std::span<const Vec3> positions,
+                   std::span<const Rank> owners, const GhostFinder& finder,
+                   Rank num_ranks, ThreadPool* pool, Buckets& out) {
+  struct Pairs {
+    std::vector<Rank> ranks;
+    std::vector<std::uint32_t> ids;
+  };
+  const std::size_t n = positions.size();
+  std::vector<Pairs> chunks(chunk_count(pool, n, kBuildGrain));
+  stable_bucket_sort(
+      pool, n, kBuildGrain, static_cast<std::size_t>(num_ranks), out,
+      [&](std::size_t c, std::size_t begin, std::size_t end,
+          std::uint32_t* row) {
+        Pairs& pairs = chunks[c];
         std::vector<Rank> near;
         for (std::size_t i = begin; i < end; ++i) {
           finder.ranks_near(positions[i], owners[i], near);
           for (const Rank r : near) {
-            local.pair_ranks.push_back(r);
-            local.pair_ids.push_back(static_cast<std::uint32_t>(i));
-            ++local.counts[static_cast<std::size_t>(r)];
+            ++row[static_cast<std::size_t>(r)];
+            pairs.ranks.push_back(r);
+            pairs.ids.push_back(static_cast<std::uint32_t>(i));
           }
         }
+      },
+      [&](std::size_t c, std::size_t, std::size_t, std::uint32_t* row) {
+        const Pairs& pairs = chunks[c];
+        for (std::size_t k = 0; k < pairs.ids.size(); ++k)
+          out.ids[row[static_cast<std::size_t>(pairs.ranks[k])]++] =
+              pairs.ids[k];
       });
-    }
-    pool->wait_idle();
-
-    cursor_.resize(plan.count * ranks);
-    for (std::size_t r = 0; r < ranks; ++r) {
-      std::uint32_t cursor = offsets_[r];
-      for (std::size_t w = 0; w < plan.count; ++w) {
-        cursor_[w * ranks + r] = cursor;
-        cursor += locals_[w].counts[r];
-      }
-      offsets_[r + 1] = cursor;
-    }
-    ids_.resize(offsets_[ranks]);
-    for (std::size_t w = 0; w < plan.count; ++w) {
-      pool->submit([this, ranks, w] {
-        const Local& local = locals_[w];
-        std::uint32_t* cursor = cursor_.data() + w * ranks;
-        for (std::size_t k = 0; k < local.pair_ids.size(); ++k)
-          ids_[cursor[static_cast<std::size_t>(local.pair_ranks[k])]++] =
-              local.pair_ids[k];
-      });
-    }
-    pool->wait_idle();
-  }
-
-  std::span<const std::uint32_t> rank_ghosts(Rank r) const {
-    return {ids_.data() + offsets_[static_cast<std::size_t>(r)],
-            offsets_[static_cast<std::size_t>(r) + 1] -
-                offsets_[static_cast<std::size_t>(r)]};
-  }
-
- private:
-  struct Local {
-    std::vector<Rank> pair_ranks;
-    std::vector<std::uint32_t> pair_ids;
-    std::vector<std::uint32_t> counts;
-  };
-
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::uint32_t> ids_;
-  std::vector<Rank> pair_ranks_;      // serial-path pair list
-  std::vector<std::uint32_t> pair_ids_;
-  std::vector<std::uint32_t> cursor_;  // scratch
-  std::vector<Local> locals_;          // parallel-path per-chunk pairs
-};
+}
 
 }  // namespace
 
@@ -300,19 +169,16 @@ SimResult SimDriver::run(const std::string& trace_path,
 
   const std::size_t num_samples =
       static_cast<std::size_t>(config_.num_samples());
-  result.actual.num_ranks = config_.num_ranks;
-  result.actual.comp_real = CompMatrix(config_.num_ranks, num_samples);
-  result.actual.comp_ghost = CompMatrix(config_.num_ranks, num_samples);
-  result.actual.comm_real = CommMatrix(config_.num_ranks, num_samples);
-  result.actual.comm_ghost = CommMatrix(config_.num_ranks, num_samples);
+  result.actual = WorkloadResult(config_.num_ranks, num_samples);
+  result.actual.elements_per_rank = partition_.elements_per_rank();
 
   WorkloadParams acc_params;
   acc_params.ghost_radius = config_.filter_size;
 
   std::vector<Rank> owners;
   std::vector<Rank> prev_owners;
-  RankBuckets buckets;
-  GhostLists ghosts;
+  Buckets buckets;  // particle ids by owning rank
+  Buckets ghosts;   // ghost particle ids by the rank they visit
   ProjectionField proj_field(config_.points_per_dim);
   ProjectionField fluid_field(config_.points_per_dim,
                               config_.measure ? mesh_.num_elements() : 0);
@@ -324,9 +190,6 @@ SimResult SimDriver::run(const std::string& trace_path,
     for (std::size_t e = 0; e < owners_of_elements.size(); ++e)
       rank_elements[static_cast<std::size_t>(owners_of_elements[e])]
           .push_back(static_cast<ElementId>(e));
-    result.actual.elements_per_rank = partition_.elements_per_rank();
-  } else {
-    result.actual.elements_per_rank = partition_.elements_per_rank();
   }
   std::vector<GhostRecord> ghost_out;
   std::vector<MigrantRecord> migrate_out;
@@ -366,7 +229,7 @@ SimResult SimDriver::run(const std::string& trace_path,
                                          "picsim");
         accumulate_interval_workload(mesh_, partition_, store.positions(),
                                      owners, prev_owners, acc_params, t,
-                                     result.actual);
+                                     result.actual, pool);
       }
 
       const bool measure_now =
@@ -377,12 +240,12 @@ SimResult SimDriver::run(const std::string& trace_path,
         const ScopedTimer mt(measure_time);
         {
           const telemetry::ScopedSpan span("picsim.rank_buckets", "picsim");
-          buckets.build(owners, config_.num_ranks, pool);
+          bucket_by_rank(owners, config_.num_ranks, pool, buckets);
         }
         {
           const telemetry::ScopedSpan span("picsim.ghost", "picsim");
-          ghosts.build(store.positions(), owners, finder, config_.num_ranks,
-                       pool);
+          bucket_ghosts(store.positions(), owners, finder, config_.num_ranks,
+                        pool, ghosts);
         }
         vel_scratch.assign(store.velocities().begin(),
                            store.velocities().end());
@@ -399,7 +262,8 @@ SimResult SimDriver::run(const std::string& trace_path,
             rec.interval = 0;
             rec.rank = r;
             rec.kernel = Kernel::kFluid;
-            rec.np = static_cast<double>(buckets.rank_ids(r).size());
+            rec.np = static_cast<double>(
+                buckets.bucket(static_cast<std::size_t>(r)).size());
             rec.filter = config_.filter_size;
             rec.nel = static_cast<double>(elements.size());
             rec.seconds = measure_adaptive(
@@ -411,8 +275,8 @@ SimResult SimDriver::run(const std::string& trace_path,
         }
 
         for (Rank r = 0; r < config_.num_ranks; ++r) {
-          const auto ids = buckets.rank_ids(r);
-          const auto gids = ghosts.rank_ghosts(r);
+          const auto ids = buckets.bucket(static_cast<std::size_t>(r));
+          const auto gids = ghosts.bucket(static_cast<std::size_t>(r));
           if (ids.empty() && gids.empty()) continue;
 
           TimingRecord rec;
@@ -500,7 +364,8 @@ SimResult SimDriver::run(const std::string& trace_path,
     // collision grid) plus slot i of the buffers written this step, so one
     // chunk's particles never observe another chunk's writes and the result
     // is bit-identical for any thread count.
-    const auto physics_chunk = [&](std::size_t begin, std::size_t end) {
+    const auto physics_chunk = [&](std::size_t, std::size_t begin,
+                                   std::size_t end) {
       const std::span<const std::uint32_t> ids(all_ids.data() + begin,
                                                end - begin);
       // Phase handles are process-stable; fetch them once per process so
@@ -521,10 +386,7 @@ SimResult SimDriver::run(const std::string& trace_path,
       const telemetry::ScopedSpan span("picsim.push", ph_push);
       kernels.push(store.positions(), next_velocities, ids, next_positions);
     };
-    if (pool != nullptr)
-      pool->parallel_for(np, kSolverGrain, physics_chunk);
-    else
-      physics_chunk(0, np);
+    parallel_for(pool, np, kSolverGrain, physics_chunk);
     store.swap_in(next_positions, next_velocities);
     next_positions.resize(np);
     next_velocities.resize(np);

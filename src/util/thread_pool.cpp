@@ -56,33 +56,6 @@ void ThreadPool::wait_idle() {
   if (error) std::rethrow_exception(error);
 }
 
-void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  // Default grain of 2 preserves the historical behavior: ranges smaller
-  // than two items per worker run inline.
-  parallel_for(n, 2, fn);
-}
-
-void ThreadPool::parallel_for(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  grain = std::max<std::size_t>(1, grain);
-  const std::size_t chunks = std::min(workers_.size(), n / grain);
-  if (chunks <= 1) {
-    fn(0, n);
-    return;
-  }
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(begin + chunk_size, n);
-    if (begin >= end) break;
-    submit([&fn, begin, end] { fn(begin, end); });
-  }
-  wait_idle();
-}
-
 ThreadPoolStats ThreadPool::stats() const {
   ThreadPoolStats stats;
   stats.tasks = tasks_done_.load(std::memory_order_relaxed);
@@ -145,6 +118,61 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
       if (in_flight_ == 0) idle_.notify_all();
     }
   }
+}
+
+std::size_t chunk_count(const ThreadPool* pool, std::size_t n,
+                        std::size_t grain) {
+  if (n == 0) return 0;
+  const std::size_t workers = pool == nullptr ? 1 : pool->size();
+  return std::clamp<std::size_t>(n / std::max<std::size_t>(1, grain), 1,
+                                 workers);
+}
+
+void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
+                  const ChunkFn& fn) {
+  const std::size_t chunks = chunk_count(pool, n, grain);
+  if (chunks == 0) return;
+  if (chunks == 1) {
+    fn(0, 0, n);
+    return;
+  }
+  // Chunk c covers [c·n/chunks, (c+1)·n/chunks): every chunk is non-empty
+  // and holds at least n / chunks >= grain items.
+  for (std::size_t c = 0; c < chunks; ++c)
+    pool->submit([&fn, c, n, chunks] {
+      fn(c, c * n / chunks, (c + 1) * n / chunks);
+    });
+  pool->wait_idle();
+}
+
+namespace {
+/// Largest bucket count `stable_bucket_sort` still splits into chunks.
+constexpr std::size_t kMaxChunkedBuckets = std::size_t{1} << 16;
+}  // namespace
+
+void stable_bucket_sort(ThreadPool* pool, std::size_t n, std::size_t grain,
+                        std::size_t buckets, Buckets& out,
+                        const BucketFn& count, const BucketFn& scatter) {
+  if (buckets > kMaxChunkedBuckets) pool = nullptr;
+  const std::size_t chunks = chunk_count(pool, n, grain);
+  out.rows.assign(chunks * buckets, 0);
+  parallel_for(pool, n, grain,
+               [&](std::size_t c, std::size_t begin, std::size_t end) {
+                 count(c, begin, end, out.rows.data() + c * buckets);
+               });
+  out.offsets.resize(buckets + 1);
+  std::uint32_t cursor = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    out.offsets[b] = cursor;
+    for (std::size_t c = 0; c < chunks; ++c)  // count -> cursor
+      cursor += std::exchange(out.rows[c * buckets + b], cursor);
+  }
+  out.offsets[buckets] = cursor;
+  out.ids.resize(cursor);
+  parallel_for(pool, n, grain,
+               [&](std::size_t c, std::size_t begin, std::size_t end) {
+                 scatter(c, begin, end, out.rows.data() + c * buckets);
+               });
 }
 
 }  // namespace picp

@@ -10,6 +10,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -37,7 +38,8 @@ struct ThreadPoolStats {
 
 /// Fixed-size worker pool used to parallelize embarrassingly-parallel loops
 /// (per-particle mapping, GP fitness evaluation, per-rank kernel models, the
-/// picsim solver loop).
+/// picsim solver loop). Loops reach it through `parallel_for` below, which
+/// owns the one rule for splitting a range across its workers.
 ///
 /// The pool is intentionally simple: FIFO task queue, no work stealing. The
 /// heavy loops in picpredict are partitioned into one chunk per worker, so a
@@ -66,18 +68,6 @@ class ThreadPool {
   /// Block until every submitted task has finished, then rethrow the first
   /// exception any of them raised (clearing it, so the pool is reusable).
   void wait_idle();
-
-  /// Run fn(begin, end) over [0, n) split into one contiguous chunk per
-  /// worker, blocking until done. Calls fn inline when n is small or the
-  /// pool has a single worker. Exceptions from fn propagate to the caller.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Grain-size-aware variant: never splits the range into chunks smaller
-  /// than `grain` items, so small index sets stay inline instead of paying
-  /// queue and wake-up latency for sub-microsecond chunks.
-  void parallel_for(std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
 
   /// Cumulative execution statistics since construction. Thread-safe;
   /// callable while tasks are in flight (values are a consistent-enough
@@ -113,5 +103,61 @@ class ThreadPool {
   std::atomic<std::uint64_t> queue_wait_ns_{0};
   std::atomic<std::uint64_t> max_queue_wait_ns_{0};
 };
+
+/// Body of one chunk of `parallel_for`: the chunk's index, then its items
+/// [begin, end).
+using ChunkFn =
+    std::function<void(std::size_t chunk, std::size_t begin, std::size_t end)>;
+
+/// The one rule for splitting items [0, n) across a pool: min(workers,
+/// n / grain) contiguous, ascending chunks of near-equal size, so no chunk
+/// holds fewer than `grain` items. A null pool, a one-worker pool or a
+/// range under two grains is one chunk; an empty range is none. Callers
+/// size per-chunk scratch with this count and index it by chunk.
+std::size_t chunk_count(const ThreadPool* pool, std::size_t n,
+                        std::size_t grain);
+
+/// Run fn(chunk, begin, end) over every chunk of [0, n) under the rule
+/// above, blocking until all are done. One chunk runs inline on the caller,
+/// with no submit and no wait. More are submitted to `pool` and waited for,
+/// so a task of `pool` must not call this with `pool`: its own task counts
+/// as in flight, and the wait never ends. Exceptions from fn propagate to
+/// the caller.
+void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
+                  const ChunkFn& fn);
+
+/// Bucket starts and bucketed ids written by `stable_bucket_sort`.
+struct Buckets {
+  /// Bucket b holds ids[offsets[b], offsets[b + 1]).
+  std::vector<std::uint32_t> offsets;
+  std::vector<std::uint32_t> ids;
+  /// Scratch: one row of counters per chunk (counts, then write cursors).
+  std::vector<std::uint32_t> rows;
+
+  std::span<const std::uint32_t> bucket(std::size_t b) const {
+    return {ids.data() + offsets[b], offsets[b + 1] - offsets[b]};
+  }
+};
+
+/// Body of one chunk of `stable_bucket_sort`: the chunk's index, its items
+/// [begin, end) and its row of one counter per bucket.
+using BucketFn = std::function<void(std::size_t chunk, std::size_t begin,
+                                    std::size_t end, std::uint32_t* row)>;
+
+/// The one stable counting sort. It files the ids that items [0, n) yield
+/// into `buckets` buckets of `out`, in three steps:
+///  1. per chunk, `count` adds 1 to row[b] for each id its items yield
+///     into bucket b;
+///  2. a prefix sum over (bucket, chunk) turns every row into that chunk's
+///     write cursors, and sizes `out.ids`;
+///  3. per chunk, `scatter` writes each id, in the order `count` saw it, to
+///     out.ids[row[b]++].
+/// Chunks follow `parallel_for`'s rule and their cursors follow chunk
+/// order, so each bucket lists its ids in item order for any chunk count.
+/// Over 2^16 buckets the sort runs as one chunk: there the chunks × buckets
+/// counters outgrow the cache, and one chunk counts faster.
+void stable_bucket_sort(ThreadPool* pool, std::size_t n, std::size_t grain,
+                        std::size_t buckets, Buckets& out,
+                        const BucketFn& count, const BucketFn& scatter);
 
 }  // namespace picp

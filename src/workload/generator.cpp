@@ -1,6 +1,7 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -9,6 +10,12 @@
 #include "workload/ghost_finder.hpp"
 
 namespace picp {
+
+namespace {
+/// Fewest particles per chunk of the ghost search: a query costs a few
+/// hundred nanoseconds, so a chunk of 256 outweighs its task's wake-up.
+constexpr std::size_t kGhostGrain = 256;
+}  // namespace
 
 WorkloadGenerator::WorkloadGenerator(const SpectralMesh& mesh,
                                      const MeshPartition& partition,
@@ -21,35 +28,34 @@ WorkloadGenerator::WorkloadGenerator(const SpectralMesh& mesh,
   if (params_.compute_ghosts)
     PICP_REQUIRE(params_.ghost_radius > 0.0,
                  "ghost accounting needs a positive filter radius");
-  if (params_.threads > 1)
-    pool_ = std::make_unique<ThreadPool>(params_.threads);
 }
 
-namespace {
-std::size_t planned_intervals(std::size_t available,
-                              const WorkloadParams& params) {
+WorkloadResult::WorkloadResult(Rank ranks, std::size_t intervals)
+    : num_ranks(ranks),
+      comp_real(ranks, intervals),
+      comp_ghost(ranks, intervals),
+      comm_real(ranks, intervals),
+      comm_ghost(ranks, intervals) {}
+
+WorkloadResult WorkloadGenerator::start_result(std::size_t available) const {
   const std::size_t strided =
-      (available + params.interval_stride - 1) / params.interval_stride;
-  return std::min(strided, params.max_intervals);
+      (available + params_.interval_stride - 1) / params_.interval_stride;
+  const std::size_t total = std::min(strided, params_.max_intervals);
+  WorkloadResult result(mapper_->num_ranks(), total);
+  result.elements_per_rank = partition_->elements_per_rank();
+  result.iterations.reserve(total);
+  result.partitions_per_interval.reserve(total);
+  return result;
 }
-}  // namespace
 
 WorkloadResult WorkloadGenerator::generate(TraceReader& trace) {
   {
     const telemetry::ScopedSpan span("trace.read", "pipeline");
     trace.rewind();
   }
-  const std::size_t total =
-      planned_intervals(static_cast<std::size_t>(trace.num_samples()), params_);
-  WorkloadResult result;
-  result.num_ranks = mapper_->num_ranks();
-  result.elements_per_rank = partition_->elements_per_rank();
-  result.comp_real = CompMatrix(result.num_ranks, total);
-  result.comp_ghost = CompMatrix(result.num_ranks, total);
-  result.comm_real = CommMatrix(result.num_ranks, total);
-  result.comm_ghost = CommMatrix(result.num_ranks, total);
-  result.iterations.reserve(total);
-  result.partitions_per_interval.reserve(total);
+  WorkloadResult result =
+      start_result(static_cast<std::size_t>(trace.num_samples()));
+  const std::size_t total = result.comp_real.num_intervals();
 
   TraceSample sample;
   const auto read_next = [&trace, &sample] {
@@ -70,16 +76,8 @@ WorkloadResult WorkloadGenerator::generate(TraceReader& trace) {
 
 WorkloadResult WorkloadGenerator::generate(
     std::span<const TraceSample> samples) {
-  const std::size_t total = planned_intervals(samples.size(), params_);
-  WorkloadResult result;
-  result.num_ranks = mapper_->num_ranks();
-  result.elements_per_rank = partition_->elements_per_rank();
-  result.comp_real = CompMatrix(result.num_ranks, total);
-  result.comp_ghost = CompMatrix(result.num_ranks, total);
-  result.comm_real = CommMatrix(result.num_ranks, total);
-  result.comm_ghost = CommMatrix(result.num_ranks, total);
-  result.iterations.reserve(total);
-  result.partitions_per_interval.reserve(total);
+  WorkloadResult result = start_result(samples.size());
+  const std::size_t total = result.comp_real.num_intervals();
 
   std::size_t t = 0;
   for (std::size_t s = 0; s < samples.size() && t < total;
@@ -94,7 +92,7 @@ void accumulate_interval_workload(
     const SpectralMesh& mesh, const MeshPartition& partition,
     std::span<const Vec3> positions, std::span<const Rank> owners,
     std::span<const Rank> prev_owners, const WorkloadParams& params,
-    std::size_t t, WorkloadResult& result) {
+    std::size_t t, WorkloadResult& result, ThreadPool* pool) {
   PICP_REQUIRE(owners.size() == positions.size(), "owner array size");
   {
     const telemetry::ScopedSpan span("workload.account", "pipeline");
@@ -115,13 +113,41 @@ void accumulate_interval_workload(
   if (params.compute_ghosts) {
     const telemetry::ScopedSpan span("workload.ghost", "pipeline");
     const GhostFinder finder(mesh, partition, params.ghost_radius);
-    std::vector<Rank> ghost_ranks;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-      finder.ranks_near(positions[i], owners[i], ghost_ranks);
-      for (const Rank r : ghost_ranks) {
-        result.comp_ghost.add(r, t, 1);
-        if (params.compute_comm) result.comm_ghost.add(owners[i], r, t, 1);
+    // Chunk 0 tallies straight into the result, as a serial loop would.
+    // Every later chunk tallies into its own slot, merged below in chunk
+    // order, so the counts and comm_ghost's insertion order match one
+    // chunk's for any pool.
+    struct Tally {
+      std::vector<std::int64_t> ghosts;          // per target rank
+      std::vector<std::pair<Rank, Rank>> sends;  // (owner, target)
+    };
+    const std::size_t n = positions.size();
+    std::vector<Tally> tallies(chunk_count(pool, n, kGhostGrain));
+    const auto ranks = static_cast<std::size_t>(result.num_ranks);
+    parallel_for(pool, n, kGhostGrain, [&](std::size_t c, std::size_t begin,
+                                           std::size_t end) {
+      Tally& tally = tallies[c];
+      if (c > 0) tally.ghosts.assign(ranks, 0);
+      std::vector<Rank> near;
+      for (std::size_t i = begin; i < end; ++i) {
+        finder.ranks_near(positions[i], owners[i], near);
+        for (const Rank r : near) {
+          if (c == 0) {
+            result.comp_ghost.add(r, t, 1);
+            if (params.compute_comm) result.comm_ghost.add(owners[i], r, t, 1);
+          } else {
+            ++tally.ghosts[static_cast<std::size_t>(r)];
+            if (params.compute_comm) tally.sends.emplace_back(owners[i], r);
+          }
+        }
       }
+    });
+    for (const Tally& tally : tallies) {
+      for (std::size_t r = 0; r < tally.ghosts.size(); ++r)
+        if (tally.ghosts[r] != 0)
+          result.comp_ghost.add(static_cast<Rank>(r), t, tally.ghosts[r]);
+      for (const auto& [owner, target] : tally.sends)
+        result.comm_ghost.add(owner, target, t, 1);
     }
   }
 }
@@ -140,59 +166,8 @@ void WorkloadGenerator::process_interval(std::size_t t,
   result.iterations.push_back(iteration);
   result.partitions_per_interval.push_back(mapper_->num_partitions());
 
-  if (pool_ == nullptr) {
-    accumulate_interval_workload(*mesh_, *partition_, positions, owners_,
-                                 prev_owners_, params_, t, result);
-  } else {
-    // Parallel path: the real-particle counting and migration scans are
-    // memory-bandwidth bound and cheap; only the ghost search (a spatial
-    // query per particle) is farmed out. Per-worker accumulators merge
-    // serially, so the result is bit-identical to the serial path.
-    WorkloadParams serial = params_;
-    serial.compute_ghosts = false;
-    accumulate_interval_workload(*mesh_, *partition_, positions, owners_,
-                                 prev_owners_, serial, t, result);
-    if (params_.compute_ghosts) {
-      const telemetry::ScopedSpan span("workload.ghost", "pipeline");
-      const GhostFinder finder(*mesh_, *partition_, params_.ghost_radius);
-      const std::size_t workers = pool_->size();
-      struct Local {
-        std::vector<std::int64_t> ghost_counts;
-        std::vector<std::pair<Rank, Rank>> sends;  // (owner, target)
-      };
-      std::vector<Local> locals(workers);
-      const std::size_t n = positions.size();
-      const std::size_t chunk = (n + workers - 1) / workers;
-      for (std::size_t w = 0; w < workers; ++w) {
-        const std::size_t begin = w * chunk;
-        const std::size_t end = std::min(begin + chunk, n);
-        if (begin >= end) break;
-        pool_->submit([&, w, begin, end] {
-          Local& local = locals[w];
-          local.ghost_counts.assign(
-              static_cast<std::size_t>(result.num_ranks), 0);
-          std::vector<Rank> near;
-          for (std::size_t i = begin; i < end; ++i) {
-            finder.ranks_near(positions[i], owners_[i], near);
-            for (const Rank r : near) {
-              ++local.ghost_counts[static_cast<std::size_t>(r)];
-              if (params_.compute_comm)
-                local.sends.emplace_back(owners_[i], r);
-            }
-          }
-        });
-      }
-      pool_->wait_idle();
-      for (const Local& local : locals) {
-        for (std::size_t r = 0; r < local.ghost_counts.size(); ++r)
-          if (local.ghost_counts[r] != 0)
-            result.comp_ghost.add(static_cast<Rank>(r), t,
-                                  local.ghost_counts[r]);
-        for (const auto& [owner, target] : local.sends)
-          result.comm_ghost.add(owner, target, t, 1);
-      }
-    }
-  }
+  accumulate_interval_workload(*mesh_, *partition_, positions, owners_,
+                               prev_owners_, params_, t, result);
   prev_owners_ = owners_;
 }
 

@@ -4,8 +4,6 @@
 #include <span>
 #include <vector>
 
-#include <memory>
-
 #include "mapping/mapper.hpp"
 #include "mesh/partition.hpp"
 #include "mesh/spectral_mesh.hpp"
@@ -30,9 +28,6 @@ struct WorkloadParams {
   std::size_t max_intervals = static_cast<std::size_t>(-1);
   /// Process every k-th sample (parameter sweeps trade resolution for speed).
   std::size_t interval_stride = 1;
-  /// Worker threads for the ghost search (the generator's dominant cost);
-  /// 0 or 1 = serial. Results are bit-identical for any thread count.
-  std::size_t threads = 0;
   /// Request budget, checked between intervals so an over-budget
   /// generation unwinds with DeadlineExceeded instead of running to the
   /// end of the trace. Default: unlimited (no behavior change).
@@ -42,6 +37,10 @@ struct WorkloadParams {
 /// Everything the Dynamic Workload Generator produces for one
 /// (trace, mapper, processor count) combination.
 struct WorkloadResult {
+  WorkloadResult() = default;
+  /// Empty matrices for `ranks` ranks over `intervals` intervals.
+  WorkloadResult(Rank ranks, std::size_t intervals);
+
   Rank num_ranks = 0;
   /// Solver iteration number of each processed interval.
   std::vector<std::uint64_t> iterations;
@@ -66,11 +65,16 @@ struct WorkloadResult {
 /// communication for interval `t` into `result`. `prev_owners` may be empty
 /// at the first interval. Using one implementation for both sides is what
 /// makes generator-vs-application validation exact.
+///
+/// The ghost search, the costly part, runs as one chunked loop split over
+/// `pool` by `parallel_for`'s rule; with no pool it is one inline chunk.
+/// Every tally is bit-identical for any pool, and comm_ghost receives its
+/// transfers in particle order. A task of `pool` must not pass `pool`.
 void accumulate_interval_workload(
     const SpectralMesh& mesh, const MeshPartition& partition,
     std::span<const Vec3> positions, std::span<const Rank> owners,
     std::span<const Rank> prev_owners, const WorkloadParams& params,
-    std::size_t t, WorkloadResult& result);
+    std::size_t t, WorkloadResult& result, ThreadPool* pool = nullptr);
 
 /// The paper's Dynamic Workload Generator (§II-A): replays a particle trace
 /// through a particle-mapping algorithm to synthesize the per-processor
@@ -91,6 +95,8 @@ class WorkloadGenerator {
   WorkloadResult generate(std::span<const TraceSample> samples);
 
  private:
+  /// The empty result for a source of `available` samples.
+  WorkloadResult start_result(std::size_t available) const;
   void process_interval(std::size_t t, std::uint64_t iteration,
                         std::span<const Vec3> positions,
                         WorkloadResult& result);
@@ -99,7 +105,6 @@ class WorkloadGenerator {
   const MeshPartition* partition_;
   Mapper* mapper_;
   WorkloadParams params_;
-  std::unique_ptr<ThreadPool> pool_;  // ghost-search workers
 
   std::vector<Rank> owners_;
   std::vector<Rank> prev_owners_;

@@ -41,7 +41,8 @@ TEST(ClaimsFig7, PredictionErrorStaysWithinGates) {
 
   claims::MapeSummary summary;
   // The kernel behind the peak, so a failed gate says how many records it
-  // judged: a kernel with one or two records above the floor is timer noise.
+  // judged. Like the summary, it skips kernels with fewer than
+  // kMinPeakRecords records above the floor: those are timer noise.
   std::string peak_kernel;
   double peak_mape = -1.0;
   Rank peak_ranks = 0;
@@ -57,7 +58,8 @@ TEST(ClaimsFig7, PredictionErrorStaysWithinGates) {
     const ValidationReport report =
         validate_predictions(measured, predictor, workload, 1e-6);
     for (const KernelAccuracy& k : report.kernels)
-      if (k.mape > peak_mape) {
+      if (k.samples >= claims::MapeSummary::kMinPeakRecords &&
+          k.mape > peak_mape) {
         peak_kernel = k.kernel;
         peak_mape = k.mape;
         peak_ranks = ranks;

@@ -80,8 +80,8 @@ TEST(CollisionGrid, SelfExcluded) {
 }
 
 TEST(CollisionGrid, ParallelRebuildBitIdenticalToSerial) {
-  // Enough particles to cross the parallel-build threshold; odd count so
-  // chunk boundaries don't align with anything.
+  // Enough particles for three chunks of the rebuild's grain (2048); odd
+  // count so chunk boundaries don't align with anything.
   const auto cloud = random_cloud(8191, 3);
   const double cutoff = 0.03;
   CollisionGrid serial(cutoff);
@@ -89,6 +89,7 @@ TEST(CollisionGrid, ParallelRebuildBitIdenticalToSerial) {
   ThreadPool pool(4);
   CollisionGrid parallel(cutoff);
   parallel.rebuild(cloud, &pool);
+  EXPECT_GT(pool.stats().tasks, 0u) << "the rebuild ran as one chunk";
   ASSERT_EQ(serial.cell_count(), parallel.cell_count());
   // The neighbor *sequence* (not just the set) must match: the parallel
   // counting sort promises the identical stable cell order.

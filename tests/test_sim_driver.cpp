@@ -7,6 +7,7 @@
 #include <iterator>
 
 #include "picsim/checkpoint.hpp"
+#include "support/workload_gtest.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_salvage.hpp"
 #include "util/error.hpp"
@@ -88,10 +89,12 @@ std::vector<char> file_bytes(const std::string& path) {
 }
 
 TEST(SimDriver, ThreadCountInvariant) {
-  // A scaled-down hele_shaw_small: enough particles to cross the driver's
-  // parallel-build thresholds, collisions on so the threaded grid rebuild
-  // runs every iteration, measurement on so the parallel rank/ghost builds
-  // run too. Every output must be bit-identical across thread counts.
+  // A scaled-down hele_shaw_small: enough particles to split the driver's
+  // per-interval builds (two grains of 2048) and its accounting's ghost
+  // search (grain 256) over the pool, collisions on so the chunked grid
+  // rebuild runs every iteration, measurement on so the chunked rank/ghost
+  // builds run too. Every output must be bit-identical across thread
+  // counts.
   SimConfig cfg;
   cfg.nelx = 8;
   cfg.nely = 8;
@@ -125,14 +128,14 @@ TEST(SimDriver, ThreadCountInvariant) {
   }
   // The traces must be byte-for-byte identical files.
   EXPECT_EQ(file_bytes(path_1), file_bytes(path_4));
-  // In-situ workload accounting agrees interval by interval.
+  // In-situ workload accounting, which runs on the pool, agrees entry by
+  // entry and transfer by transfer.
   ASSERT_EQ(a.actual.num_intervals(), b.actual.num_intervals());
-  for (std::size_t t = 0; t < a.actual.num_intervals(); ++t) {
-    EXPECT_EQ(a.actual.comp_real.interval_total(t),
-              b.actual.comp_real.interval_total(t));
-    EXPECT_EQ(a.actual.comp_ghost.interval_total(t),
-              b.actual.comp_ghost.interval_total(t));
-  }
+  ASSERT_GT(a.actual.comp_ghost.interval_total(0), 0);
+  EXPECT_EQ(a.actual.iterations, b.actual.iterations);
+  EXPECT_EQ(a.actual.partitions_per_interval,
+            b.actual.partitions_per_interval);
+  expect_same_workload(a.actual, b.actual, "1 vs 4 threads");
   // Measurement visited the same (kernel, rank, interval) workloads.
   ASSERT_EQ(a.timings.size(), b.timings.size());
   for (std::size_t k = 0; k < a.timings.size(); ++k) {

@@ -155,12 +155,13 @@ TEST_F(TelemetrySession, ConcurrentIncrementsUnderThreadPool) {
       registry().histogram("test.concurrent_hist", std::vector<double>{0.5});
   constexpr std::size_t kItems = 200000;
   ThreadPool pool(4);
-  pool.parallel_for(kItems, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      c.add();
-      h.observe(i % 2 == 0 ? 0.25 : 1.0);
-    }
-  });
+  parallel_for(&pool, kItems, 1,
+               [&](std::size_t, std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   c.add();
+                   h.observe(i % 2 == 0 ? 0.25 : 1.0);
+                 }
+               });
   EXPECT_EQ(c.value(), kItems);
   EXPECT_EQ(h.count(), kItems);
   const auto counts = h.bucket_counts();

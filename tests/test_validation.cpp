@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/claims.hpp"
 #include "model/linear.hpp"
+#include "util/shape_check.hpp"
 
 namespace picp {
 namespace {
@@ -143,6 +145,53 @@ TEST(PredictorTest, SimInputWiresMatrices) {
   EXPECT_EQ(input.num_intervals, 3u);
   EXPECT_EQ(input.comm_real, &f.workload.comm_real);
   EXPECT_EQ(input.comm_ghost, &f.workload.comm_ghost);
+}
+
+// ClaimsFig7's worst-kernel gate: a kernel judged on a couple of records
+// must not set the peak, but a model that is wrong everywhere still fails.
+ValidationReport report_of(
+    std::initializer_list<std::pair<std::size_t, double>> kernels) {
+  ValidationReport report;
+  for (const auto& [samples, mape] : kernels) {
+    KernelAccuracy k;
+    k.kernel = "k" + std::to_string(report.kernels.size());
+    k.samples = samples;
+    k.mape = mape;
+    k.aggregate_mape = mape;
+    report.kernels.push_back(k);
+  }
+  return report;
+}
+
+TEST(MapeSummary, FewRecordKernelDoesNotSetThePeak) {
+  claims::MapeSummary summary;
+  summary.add(report_of({{31, 20.0}, {2, 95.0}, {40, 12.0}}));
+  summary.add(report_of({{33, 35.0}, {1, 99.0}}));
+  EXPECT_DOUBLE_EQ(summary.peak_kernel_mape(), 35.0);
+  EXPECT_TRUE(shape::below_threshold(summary.peak_kernel_mape(), 90.0,
+                                     "worst per-kernel MAPE (%)")
+                  .pass);
+  // The few-record kernels still count in both averages.
+  EXPECT_EQ(summary.samples(), 31u + 2 + 40 + 33 + 1);
+  EXPECT_EQ(summary.kernels(), 5u);
+  EXPECT_DOUBLE_EQ(summary.record_mape(),
+                   (31 * 20.0 + 2 * 95.0 + 40 * 12.0 + 33 * 35.0 + 99.0) /
+                       107.0);
+  EXPECT_DOUBLE_EQ(summary.aggregate_mape(),
+                   (20.0 + 95.0 + 12.0 + 35.0 + 99.0) / 5.0);
+}
+
+TEST(MapeSummary, ConstantPredictorStillFailsTheGate) {
+  // A constant predictor misses every kernel by more than 100% on many
+  // records.
+  claims::MapeSummary summary;
+  summary.add(report_of({{34, 140.0}, {31, 180.0}, {120, 260.0}}));
+  summary.add(report_of({{32, 150.0}, {3, 400.0}}));
+  EXPECT_DOUBLE_EQ(summary.peak_kernel_mape(), 260.0);
+  EXPECT_FALSE(shape::below_threshold(summary.peak_kernel_mape(), 90.0,
+                                      "worst per-kernel MAPE (%)")
+                   .pass);
+  EXPECT_GT(summary.aggregate_mape(), 100.0);
 }
 
 }  // namespace

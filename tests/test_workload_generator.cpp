@@ -6,9 +6,11 @@
 
 #include "mapping/bin_mapper.hpp"
 #include "mapping/element_mapper.hpp"
+#include "support/workload_gtest.hpp"
 #include "trace/trace_writer.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace picp {
 namespace {
@@ -183,39 +185,35 @@ TEST(WorkloadGenerator, BinMapperPartitionsRecorded) {
 }
 
 TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
+  // accumulate_interval_workload's ghost loop split over pools of 2, 4 and
+  // 7 workers must tally exactly what one inline chunk tallies.
   World w;
   const auto samples = drifting_cloud(1500, 6, 21);
-  ElementMapper m_serial(w.mesh, w.partition);
-  WorkloadGenerator serial(w.mesh, w.partition, m_serial, default_params());
-  const WorkloadResult a = serial.generate(samples);
-
-  for (const std::size_t threads : {2u, 4u, 7u}) {
-    ElementMapper m_par(w.mesh, w.partition);
-    WorkloadParams params = default_params();
-    params.threads = threads;
-    WorkloadGenerator parallel(w.mesh, w.partition, m_par, params);
-    const WorkloadResult b = parallel.generate(samples);
-    ASSERT_EQ(a.num_intervals(), b.num_intervals());
-    for (std::size_t t = 0; t < a.num_intervals(); ++t) {
-      for (Rank r = 0; r < 8; ++r) {
-        EXPECT_EQ(a.comp_real.at(r, t), b.comp_real.at(r, t));
-        EXPECT_EQ(a.comp_ghost.at(r, t), b.comp_ghost.at(r, t))
-            << "threads=" << threads << " r=" << r << " t=" << t;
-      }
-      EXPECT_EQ(a.comm_real.interval_volume(t),
-                b.comm_real.interval_volume(t));
-      EXPECT_EQ(a.comm_ghost.interval_volume(t),
-                b.comm_ghost.interval_volume(t));
-      // Full sparse equality of the ghost communication slice.
-      const auto ta = a.comm_ghost.interval_transfers(t);
-      const auto tb = b.comm_ghost.interval_transfers(t);
-      ASSERT_EQ(ta.size(), tb.size());
-      for (std::size_t k = 0; k < ta.size(); ++k) {
-        EXPECT_EQ(ta[k].from, tb[k].from);
-        EXPECT_EQ(ta[k].to, tb[k].to);
-        EXPECT_EQ(ta[k].count, tb[k].count);
-      }
+  const auto account = [&](ThreadPool* pool) {
+    ElementMapper mapper(w.mesh, w.partition);
+    WorkloadResult result(8, samples.size());
+    std::vector<Rank> owners;
+    std::vector<Rank> prev_owners;
+    for (std::size_t t = 0; t < samples.size(); ++t) {
+      mapper.map(samples[t].positions, owners);
+      accumulate_interval_workload(w.mesh, w.partition, samples[t].positions,
+                                   owners, prev_owners, default_params(), t,
+                                   result, pool);
+      prev_owners = owners;
     }
+    return result;
+  };
+  const WorkloadResult serial = account(nullptr);
+  ASSERT_GT(serial.comp_ghost.interval_total(samples.size() - 1), 0);
+  ASSERT_GT(serial.comm_ghost.total_volume(), 0);
+  ASSERT_GT(serial.comm_real.total_volume(), 0);
+  for (const std::size_t workers : {2u, 4u, 7u}) {
+    ThreadPool pool(workers);
+    const WorkloadResult split = account(&pool);
+    EXPECT_GT(pool.stats().tasks, 0u)
+        << workers << " workers ran the ghost loop as one chunk";
+    expect_same_workload(serial, split,
+                         std::to_string(workers) + " workers");
   }
 }
 

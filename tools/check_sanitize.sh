@@ -41,24 +41,28 @@ UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
   "$BUILD_DIR/check_chaos_sanitize_work"
 echo "sanitizer suite (${SANITIZE}) passed"
 
-# ThreadSanitizer pass over the concurrent serving stack. Scoped to the
-# suites that actually cross threads — the reactor's pool dispatch and
-# completion queue, the HTTP server end-to-end, the thread pool itself,
+# ThreadSanitizer pass over the code that crosses threads. Scoped to the
+# suites that actually do — the reactor's pool dispatch and completion
+# queue, the HTTP server end-to-end, the thread pool itself with its one
+# split rule and the chunked bucket sort (ThreadPool, StableBucketSort),
 # the registry counters and gauges the reactor and the workers (through
 # the artifact caches) share, concurrent misses of one cache key, the
 # observability layer (trace stages ride worker threads; the access log
 # is reactor-written but mutex-guarded for embedders), trace cursors plus
 # the service's lock-free concurrent generations (TraceIo, ServeDegraded,
-# PipelineSplit), and the span tracer's per-thread buffers and the stage
-# hook behind every ScopedSpan (ChromeTrace, TelemetrySession; the real
-# pipeline's stages on a reactor are ReactorStageTest) — because a
-# full-suite TSan run costs 10x+ and everything else is single-threaded by
-# construction.
+# PipelineSplit), the span tracer's per-thread buffers and the stage hook
+# behind every ScopedSpan (ChromeTrace, TelemetrySession; the real
+# pipeline's stages on a reactor are ReactorStageTest), and the chunked
+# particle loops of workload and picsim: the accounting's ghost search
+# (WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial), the grid
+# rebuild (CollisionGrid) and a threaded proxy run with measurement on
+# (SimDriver.ThreadCountInvariant) — because a full-suite TSan run costs
+# 10x+ and everything else is single-threaded by construction.
 if [ "$TSAN_BUILD_DIR" != "none" ]; then
   cmake -B "$TSAN_BUILD_DIR" -S "$SRC_DIR" -DPICP_SANITIZE=thread
   cmake --build "$TSAN_BUILD_DIR" -j --target picp_tests
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$TSAN_BUILD_DIR/tests/picp_tests" \
-    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*:TraceIo*:ServeDegraded*:PipelineSplit*:ChromeTrace*:TelemetrySession*'
-  echo "thread-sanitizer reactor suite passed"
+    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*:TraceIo*:ServeDegraded*:PipelineSplit*:ChromeTrace*:TelemetrySession*:StableBucketSort*:WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial:CollisionGrid*:SimDriver.ThreadCountInvariant'
+  echo "thread-sanitizer suite passed"
 fi
