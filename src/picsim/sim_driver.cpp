@@ -19,7 +19,7 @@ namespace picp {
 namespace {
 
 /// Grains of the split rule (util/thread_pool.hpp), which splits a loop
-/// only from two grains on: the per-interval builds stay inline under 4096
+/// only from two grains on: the rank buckets stay inline under 4096
 /// particles, and a solver chunk holds at least 256 particles.
 constexpr std::size_t kBuildGrain = 2048;
 constexpr std::size_t kSolverGrain = 256;
@@ -44,41 +44,6 @@ void bucket_by_rank(std::span<const Rank> owners, Rank num_ranks,
       });
 }
 
-/// Ghost particle ids grouped by the rank they are ghosts on. The ghost
-/// search runs in the sort's count step, and each chunk keeps its (rank,
-/// particle) pairs, in particle order, for the scatter.
-void bucket_ghosts(std::span<const Vec3> positions,
-                   std::span<const Rank> owners, const GhostFinder& finder,
-                   Rank num_ranks, ThreadPool* pool, Buckets& out) {
-  struct Pairs {
-    std::vector<Rank> ranks;
-    std::vector<std::uint32_t> ids;
-  };
-  const std::size_t n = positions.size();
-  std::vector<Pairs> chunks(chunk_count(pool, n, kBuildGrain));
-  stable_bucket_sort(
-      pool, n, kBuildGrain, static_cast<std::size_t>(num_ranks), out,
-      [&](std::size_t c, std::size_t begin, std::size_t end,
-          std::uint32_t* row) {
-        Pairs& pairs = chunks[c];
-        std::vector<Rank> near;
-        for (std::size_t i = begin; i < end; ++i) {
-          finder.ranks_near(positions[i], owners[i], near);
-          for (const Rank r : near) {
-            ++row[static_cast<std::size_t>(r)];
-            pairs.ranks.push_back(r);
-            pairs.ids.push_back(static_cast<std::uint32_t>(i));
-          }
-        }
-      },
-      [&](std::size_t c, std::size_t, std::size_t, std::uint32_t* row) {
-        const Pairs& pairs = chunks[c];
-        for (std::size_t k = 0; k < pairs.ids.size(); ++k)
-          out.ids[row[static_cast<std::size_t>(pairs.ranks[k])]++] =
-              pairs.ids[k];
-      });
-}
-
 }  // namespace
 
 SimDriver::SimDriver(const SimConfig& config)
@@ -100,7 +65,7 @@ SimResult SimDriver::run(const std::string& trace_path,
 
   GasModel gas(config_.gas, config_.domain);
   SolverKernels kernels(mesh_, gas, config_.physics);
-  GhostFinder finder(mesh_, partition_, config_.filter_size);
+  GhostFinder finder(mesh_, partition_, config_.filter_size);  // create_ghost
   const auto mapper = make_mapper(config_.mapper_kind, mesh_, partition_,
                                   config_.filter_size);
 
@@ -178,7 +143,7 @@ SimResult SimDriver::run(const std::string& trace_path,
   std::vector<Rank> owners;
   std::vector<Rank> prev_owners;
   Buckets buckets;  // particle ids by owning rank
-  Buckets ghosts;   // ghost particle ids by the rank they visit
+  Buckets ghosts;   // ghost ids by visited rank, filed by the accounting
   ProjectionField proj_field(config_.points_per_dim);
   ProjectionField fluid_field(config_.points_per_dim,
                               config_.measure ? mesh_.num_elements() : 0);
@@ -229,7 +194,7 @@ SimResult SimDriver::run(const std::string& trace_path,
                                          "picsim");
         accumulate_interval_workload(mesh_, partition_, store.positions(),
                                      owners, prev_owners, acc_params, t,
-                                     result.actual, pool);
+                                     result.actual, pool, &ghosts);
       }
 
       const bool measure_now =
@@ -241,11 +206,6 @@ SimResult SimDriver::run(const std::string& trace_path,
         {
           const telemetry::ScopedSpan span("picsim.rank_buckets", "picsim");
           bucket_by_rank(owners, config_.num_ranks, pool, buckets);
-        }
-        {
-          const telemetry::ScopedSpan span("picsim.ghost", "picsim");
-          bucket_ghosts(store.positions(), owners, finder, config_.num_ranks,
-                        pool, ghosts);
         }
         vel_scratch.assign(store.velocities().begin(),
                            store.velocities().end());
@@ -338,8 +298,9 @@ SimResult SimDriver::run(const std::string& trace_path,
           }
 
           // Migration: unpack side — particles that arrived on r this
-          // interval (prev owner differs).
-          if (t > 0 && !ids.empty()) {
+          // interval (prev owner differs). The first interval of a run or
+          // of a resume has no previous owners, so nothing is timed there.
+          if (prev_owners.size() == owners.size() && !ids.empty()) {
             rec.kernel = Kernel::kMigrate;
             rec.nmove = static_cast<double>([&] {
               std::size_t movers = 0;

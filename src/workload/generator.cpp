@@ -1,7 +1,6 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -10,12 +9,6 @@
 #include "workload/ghost_finder.hpp"
 
 namespace picp {
-
-namespace {
-/// Fewest particles per chunk of the ghost search: a query costs a few
-/// hundred nanoseconds, so a chunk of 256 outweighs its task's wake-up.
-constexpr std::size_t kGhostGrain = 256;
-}  // namespace
 
 WorkloadGenerator::WorkloadGenerator(const SpectralMesh& mesh,
                                      const MeshPartition& partition,
@@ -92,7 +85,8 @@ void accumulate_interval_workload(
     const SpectralMesh& mesh, const MeshPartition& partition,
     std::span<const Vec3> positions, std::span<const Rank> owners,
     std::span<const Rank> prev_owners, const WorkloadParams& params,
-    std::size_t t, WorkloadResult& result, ThreadPool* pool) {
+    std::size_t t, WorkloadResult& result, ThreadPool* pool,
+    Buckets* ghosts) {
   PICP_REQUIRE(owners.size() == positions.size(), "owner array size");
   {
     const telemetry::ScopedSpan span("workload.account", "pipeline");
@@ -112,42 +106,16 @@ void accumulate_interval_workload(
   // Ghost particles: influence radius crossing grid-region boundaries.
   if (params.compute_ghosts) {
     const telemetry::ScopedSpan span("workload.ghost", "pipeline");
-    const GhostFinder finder(mesh, partition, params.ghost_radius);
-    // Chunk 0 tallies straight into the result, as a serial loop would.
-    // Every later chunk tallies into its own slot, merged below in chunk
-    // order, so the counts and comm_ghost's insertion order match one
-    // chunk's for any pool.
-    struct Tally {
-      std::vector<std::int64_t> ghosts;          // per target rank
-      std::vector<std::pair<Rank, Rank>> sends;  // (owner, target)
-    };
-    const std::size_t n = positions.size();
-    std::vector<Tally> tallies(chunk_count(pool, n, kGhostGrain));
-    const auto ranks = static_cast<std::size_t>(result.num_ranks);
-    parallel_for(pool, n, kGhostGrain, [&](std::size_t c, std::size_t begin,
-                                           std::size_t end) {
-      Tally& tally = tallies[c];
-      if (c > 0) tally.ghosts.assign(ranks, 0);
-      std::vector<Rank> near;
-      for (std::size_t i = begin; i < end; ++i) {
-        finder.ranks_near(positions[i], owners[i], near);
-        for (const Rank r : near) {
-          if (c == 0) {
-            result.comp_ghost.add(r, t, 1);
-            if (params.compute_comm) result.comm_ghost.add(owners[i], r, t, 1);
-          } else {
-            ++tally.ghosts[static_cast<std::size_t>(r)];
-            if (params.compute_comm) tally.sends.emplace_back(owners[i], r);
-          }
-        }
-      }
-    });
-    for (const Tally& tally : tallies) {
-      for (std::size_t r = 0; r < tally.ghosts.size(); ++r)
-        if (tally.ghosts[r] != 0)
-          result.comp_ghost.add(static_cast<Rank>(r), t, tally.ghosts[r]);
-      for (const auto& [owner, target] : tally.sends)
-        result.comm_ghost.add(owner, target, t, 1);
+    Buckets local;
+    Buckets& lists = ghosts != nullptr ? *ghosts : local;
+    GhostFinder(mesh, partition, params.ghost_radius)
+        .bucket(positions, owners, pool, lists);
+    for (Rank r = 0; r < partition.num_ranks(); ++r) {
+      const auto ids = lists.bucket(static_cast<std::size_t>(r));
+      result.comp_ghost.add(r, t, static_cast<std::int64_t>(ids.size()));
+      if (params.compute_comm)
+        for (const std::uint32_t i : ids)
+          result.comm_ghost.add(owners[i], r, t, 1);
     }
   }
 }
@@ -167,7 +135,8 @@ void WorkloadGenerator::process_interval(std::size_t t,
   result.partitions_per_interval.push_back(mapper_->num_partitions());
 
   accumulate_interval_workload(*mesh_, *partition_, positions, owners_,
-                               prev_owners_, params_, t, result);
+                               prev_owners_, params_, t, result, nullptr,
+                               &ghosts_);
   prev_owners_ = owners_;
 }
 

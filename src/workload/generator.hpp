@@ -66,15 +66,19 @@ struct WorkloadResult {
 /// at the first interval. Using one implementation for both sides is what
 /// makes generator-vs-application validation exact.
 ///
-/// The ghost search, the costly part, runs as one chunked loop split over
-/// `pool` by `parallel_for`'s rule; with no pool it is one inline chunk.
-/// Every tally is bit-identical for any pool, and comm_ghost receives its
-/// transfers in particle order. A task of `pool` must not pass `pool`.
+/// The ghost search, the costly part, is `GhostFinder::bucket`: it files
+/// the interval's ghosts into per-rank lists, split over `pool` (with no
+/// pool, one inline chunk), and comp_ghost and comm_ghost are tallied from
+/// those lists rank by rank. Every tally is the same for any pool. When
+/// `ghosts` is given and `params.compute_ghosts` is set, it receives the
+/// lists, so a caller that needs them searches no second time. A task of
+/// `pool` must not pass `pool`.
 void accumulate_interval_workload(
     const SpectralMesh& mesh, const MeshPartition& partition,
     std::span<const Vec3> positions, std::span<const Rank> owners,
     std::span<const Rank> prev_owners, const WorkloadParams& params,
-    std::size_t t, WorkloadResult& result, ThreadPool* pool = nullptr);
+    std::size_t t, WorkloadResult& result, ThreadPool* pool = nullptr,
+    Buckets* ghosts = nullptr);
 
 /// The paper's Dynamic Workload Generator (§II-A): replays a particle trace
 /// through a particle-mapping algorithm to synthesize the per-processor
@@ -108,6 +112,7 @@ class WorkloadGenerator {
 
   std::vector<Rank> owners_;
   std::vector<Rank> prev_owners_;
+  Buckets ghosts_;  // this interval's ghost lists, storage reused
 };
 
 }  // namespace picp

@@ -6,6 +6,12 @@
 
 namespace picp {
 
+namespace {
+/// Fewest particles per chunk of the ghost search: a query costs a few
+/// hundred nanoseconds, so a chunk of 256 outweighs its task's wake-up.
+constexpr std::size_t kGhostGrain = 256;
+}  // namespace
+
 GhostFinder::GhostFinder(const SpectralMesh& mesh,
                          const MeshPartition& partition, double radius)
     : mesh_(&mesh),
@@ -32,6 +38,47 @@ void GhostFinder::ranks_near(const Vec3& p, Rank exclude,
         if (grid.cell_bounds(ix, iy, iz).distance2(p) < radius2_)
           out.push_back(r);
       }
+}
+
+void GhostFinder::bucket(std::span<const Vec3> positions,
+                         std::span<const Rank> owners, ThreadPool* pool,
+                         Buckets& out) const {
+  PICP_REQUIRE(owners.size() == positions.size(), "owner array size");
+  // Each chunk keeps, from the count step, how many ranks each of its
+  // particles is a ghost on and those ranks, in particle order, so the
+  // scatter files the ids without searching again.
+  struct Found {
+    std::vector<std::uint32_t> counts;  // one per particle of the chunk
+    std::vector<Rank> ranks;
+  };
+  const std::size_t n = positions.size();
+  std::vector<Found> chunks(chunk_count(pool, n, kGhostGrain));
+  stable_bucket_sort(
+      pool, n, kGhostGrain, static_cast<std::size_t>(partition_->num_ranks()),
+      out,
+      [&](std::size_t c, std::size_t begin, std::size_t end,
+          std::uint32_t* row) {
+        Found& found = chunks[c];
+        found.counts.reserve(end - begin);
+        std::vector<Rank> near;
+        for (std::size_t i = begin; i < end; ++i) {
+          ranks_near(positions[i], owners[i], near);
+          found.counts.push_back(static_cast<std::uint32_t>(near.size()));
+          for (const Rank r : near) {
+            ++row[static_cast<std::size_t>(r)];
+            found.ranks.push_back(r);
+          }
+        }
+      },
+      [&](std::size_t c, std::size_t begin, std::size_t end,
+          std::uint32_t* row) {
+        const Found& found = chunks[c];
+        const Rank* rank = found.ranks.data();
+        for (std::size_t i = begin; i < end; ++i)
+          for (std::uint32_t k = found.counts[i - begin]; k > 0; --k)
+            out.ids[row[static_cast<std::size_t>(*rank++)]++] =
+                static_cast<std::uint32_t>(i);
+      });
 }
 
 }  // namespace picp

@@ -1,7 +1,8 @@
 // Exit-code and stdout contract of `picpredict trace verify|repair` — the
 // operator-facing surface of the salvage machinery. Scripts branch on these
 // exit codes (0 intact / usable, 1 damaged / unrecoverable, 2 usage), so
-// they are API, not presentation. Drives the real binary (path injected at
+// they are API, not presentation. Also a kill-and-resume drill through
+// `picpredict simulate --resume`. Drives the real binary (path injected at
 // configure time via PICP_PICPREDICT_BINARY).
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -29,9 +31,11 @@ struct CliResult {
   std::string output;  // stdout + stderr interleaved
 };
 
-CliResult run_cli(const std::string& args) {
-  const std::string cmd =
-      std::string("'") + PICP_PICPREDICT_BINARY + "' " + args + " 2>&1";
+/// Runs the binary with `args`; `env` (e.g. "NAME='value'") prefixes the
+/// command.
+CliResult run_cli(const std::string& args, const std::string& env = "") {
+  const std::string cmd = env + " '" + PICP_PICPREDICT_BINARY + "' " + args +
+                          " 2>&1";
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << "popen failed for: " << cmd;
   CliResult result;
@@ -151,6 +155,52 @@ TEST(CliTrace, RepairWithoutOutFlagExits2) {
   EXPECT_NE(result.output.find("missing --out"), std::string::npos)
       << result.output;
   std::remove(path.c_str());
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.is_open()) << path;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(CliTrace, SimulateResumeAfterACrashReproducesTheUninterruptedTrace) {
+  // Kill-and-resume drill: a hard crash at the 7th trace append (iteration
+  // 240, after the checkpoint at 200) exits 134; `--resume` then exits 0
+  // with the uninterrupted run's trace, byte for byte. Measurement is on,
+  // so the first resumed interval is measured without previous owners.
+  const std::string dir = testing::TempDir() + "/cli_resume";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string config = dir + "/run.ini";
+  std::ofstream(config) << "[mesh]\nnelx = 8\nnely = 8\nnelz = 16\n"
+                           "[bed]\nnum_particles = 2000\n"
+                           "[run]\nnum_iterations = 400\nsample_every = 40\n"
+                           "checkpoint_every = 50\nthreads = 1\n"
+                           "[mapping]\nnum_ranks = 16\n"
+                           "[measure]\nenabled = true\nmin_seconds = 1e-6\n"
+                           "max_reps = 2\n";
+  const std::string full = dir + "/full.trace";
+  const std::string resumed = dir + "/resumed.trace";
+
+  const CliResult straight =
+      run_cli("simulate '" + config + "' --trace '" + full + "'");
+  ASSERT_EQ(straight.exit_code, 0) << straight.output;
+
+  const std::string simulate =
+      "simulate '" + config + "' --trace '" + resumed + "'";
+  const CliResult crash =
+      run_cli(simulate, "PICP_FAILPOINTS='trace.append=crash:after6'");
+  ASSERT_EQ(crash.exit_code, 134) << crash.output;
+  EXPECT_FALSE(fs::exists(resumed));
+  EXPECT_TRUE(fs::exists(resumed + ".ckpt"));
+
+  const CliResult resume = run_cli(simulate + " --resume");
+  ASSERT_EQ(resume.exit_code, 0) << resume.output;
+  EXPECT_NE(resume.output.find("(resumed)"), std::string::npos)
+      << resume.output;
+  EXPECT_EQ(file_bytes(resumed), file_bytes(full));
+  EXPECT_FALSE(fs::exists(resumed + ".ckpt"));
+  fs::remove_all(dir);
 }
 
 }  // namespace

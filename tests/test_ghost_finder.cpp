@@ -84,13 +84,6 @@ TEST(GhostFinder, DedupesRanksOwningMultipleElements) {
   EXPECT_EQ(out[0], 1);
 }
 
-TEST(GhostFinder, ResidentGridRank) {
-  Strip w;
-  GhostFinder finder(w.mesh, w.partition, 0.1);
-  EXPECT_EQ(finder.resident_grid_rank(Vec3(2.5, 0.5, 0.5)), 2);
-  EXPECT_EQ(finder.resident_grid_rank(Vec3(0.1, 0.5, 0.5)), 0);
-}
-
 TEST(GhostFinder, CornerTouchesDiagonalRank) {
   // 2x2 elements in xy, 4 ranks; a particle near the shared corner sees all
   // three foreign ranks.

@@ -38,7 +38,10 @@ class GeneratorReplay : public testing::TestWithParam<std::string> {};
 TEST_P(GeneratorReplay, ReproducesActualWorkloadExactly) {
   const std::string path = testing::TempDir() + "/picp_replay_" +
                            GetParam() + ".bin";
-  const SimConfig cfg = tiny_config(GetParam());
+  // The application's accounting splits its ghost search over 4 threads
+  // (800 particles, grain 256: 3 chunks); the replay runs it as one chunk.
+  SimConfig cfg = tiny_config(GetParam());
+  cfg.threads = 4;
   SimDriver driver(cfg);
   const SimResult app = driver.run(path);
 

@@ -163,6 +163,10 @@ TEST(SimDriver, ThreadsZeroSelectsHardwareConcurrency) {
 
 TEST(SimDriver, MeasurementProducesRecordsForActiveRanks) {
   SimConfig cfg = tiny_config();
+  // 1000 particles on 4 threads split the accounting's ghost search (grain
+  // 256) into 3 chunks, whose lists measurement reads.
+  cfg.bed.num_particles = 1000;
+  cfg.threads = 4;
   cfg.measure = true;
   cfg.measure_min_seconds = 1e-6;  // keep the test fast
   cfg.measure_max_reps = 4;
@@ -170,13 +174,21 @@ TEST(SimDriver, MeasurementProducesRecordsForActiveRanks) {
   const SimResult result = driver.run();
   EXPECT_FALSE(result.timings.empty());
   EXPECT_GT(result.measure_seconds, 0.0);
-  // Every record's np matches the actual computation matrix.
+  // Every record's np matches the actual computation matrix, and every
+  // particle kernel's ngp the ghost matrix.
   for (const TimingRecord& rec : result.timings.records()) {
     EXPECT_GE(rec.seconds, 0.0);
     EXPECT_EQ(static_cast<std::int64_t>(rec.np),
               result.actual.comp_real.at(rec.rank, rec.interval));
+    if (rec.kernel != Kernel::kFluid) {
+      EXPECT_EQ(static_cast<std::int64_t>(rec.ngp),
+                result.actual.comp_ghost.at(rec.rank, rec.interval))
+          << kernel_name(rec.kernel) << " r=" << rec.rank
+          << " t=" << rec.interval;
+    }
     EXPECT_EQ(rec.filter, cfg.filter_size);
   }
+  ASSERT_GT(result.actual.comp_ghost.interval_total(0), 0);
   // All kernels appear (fluid is measured once, at the first interval).
   for (int k = 0; k < kNumKernels; ++k)
     EXPECT_FALSE(result.timings.for_kernel(static_cast<Kernel>(k)).empty())
@@ -228,15 +240,28 @@ TEST(SimDriver, BinPartitionsBoundedByRanks) {
   }
 }
 
+/// Whether `timings` holds a migrate record at interval t.
+bool has_migrate_at(const KernelTimings& timings, std::uint32_t t) {
+  for (const TimingRecord& rec : timings.for_kernel(Kernel::kMigrate))
+    if (rec.interval == t) return true;
+  return false;
+}
+
 TEST(SimDriver, CheckpointResumeProducesBitIdenticalTrace) {
   // Kill-resilience drill: run A straight through; run B is "killed" after
   // 110 iterations (last checkpoint at 90) and resumed. The resumed trace
   // must match A byte for byte, including the sealed footer digest.
+  // Measurement is on, so the resumed run also measures its first interval
+  // without the previous interval's owners.
   SimConfig cfg = tiny_config();
   cfg.checkpoint_every = 30;
+  cfg.measure = true;
+  cfg.measure_min_seconds = 1e-6;
+  cfg.measure_max_reps = 2;
 
   const std::string full_path = testing::TempDir() + "/picp_ck_full.bin";
-  SimDriver(cfg).run(full_path);
+  const SimResult full = SimDriver(cfg).run(full_path);
+  EXPECT_TRUE(has_migrate_at(full.timings, 2));
 
   const std::string path = testing::TempDir() + "/picp_ck_resume.bin";
   RunOptions crash;
@@ -260,6 +285,10 @@ TEST(SimDriver, CheckpointResumeProducesBitIdenticalTrace) {
   EXPECT_EQ(resumed.start_iteration, 90);
   EXPECT_FALSE(resumed.aborted);
   EXPECT_EQ(resumed.trace_samples, 4u);
+  // The first resumed interval (iteration 100) has no previous owners, so
+  // migration is timed only from the next one on.
+  EXPECT_FALSE(has_migrate_at(resumed.timings, 2));
+  EXPECT_TRUE(has_migrate_at(resumed.timings, 3));
 
   EXPECT_EQ(file_bytes(path), file_bytes(full_path));
   EXPECT_TRUE(scan_trace(path).intact());

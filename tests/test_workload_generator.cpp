@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <utility>
 
 #include "mapping/bin_mapper.hpp"
 #include "mapping/element_mapper.hpp"
@@ -11,6 +13,7 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "workload/ghost_finder.hpp"
 
 namespace picp {
 namespace {
@@ -184,36 +187,95 @@ TEST(WorkloadGenerator, BinMapperPartitionsRecorded) {
   }
 }
 
+/// Each bucket of `lists` as its own vector, for whole-list comparisons.
+std::vector<std::vector<std::uint32_t>> bucket_lists(const Buckets& lists,
+                                                     Rank ranks) {
+  std::vector<std::vector<std::uint32_t>> out;
+  for (Rank r = 0; r < ranks; ++r) {
+    const auto ids = lists.bucket(static_cast<std::size_t>(r));
+    out.emplace_back(ids.begin(), ids.end());
+  }
+  return out;
+}
+
 TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
-  // accumulate_interval_workload's ghost loop split over pools of 2, 4 and
-  // 7 workers must tally exactly what one inline chunk tallies.
+  // accumulate_interval_workload's ghost search split over pools of 2, 4
+  // and 7 workers (1500 particles, grain 256: 2, 4 and 5 chunks) must file
+  // the same per-rank ghost lists and tally exactly what one inline chunk
+  // does, and that chunk must agree with a reference built from
+  // ranks_near, particle by particle.
   World w;
   const auto samples = drifting_cloud(1500, 6, 21);
+  struct Run {
+    WorkloadResult result;
+    std::vector<std::vector<Rank>> owners;  // per interval
+    std::vector<Buckets> ghosts;            // per interval
+  };
   const auto account = [&](ThreadPool* pool) {
     ElementMapper mapper(w.mesh, w.partition);
-    WorkloadResult result(8, samples.size());
-    std::vector<Rank> owners;
+    Run run{WorkloadResult(8, samples.size()),
+            std::vector<std::vector<Rank>>(samples.size()),
+            std::vector<Buckets>(samples.size())};
     std::vector<Rank> prev_owners;
     for (std::size_t t = 0; t < samples.size(); ++t) {
+      std::vector<Rank>& owners = run.owners[t];
       mapper.map(samples[t].positions, owners);
       accumulate_interval_workload(w.mesh, w.partition, samples[t].positions,
                                    owners, prev_owners, default_params(), t,
-                                   result, pool);
+                                   run.result, pool, &run.ghosts[t]);
       prev_owners = owners;
     }
-    return result;
+    return run;
   };
-  const WorkloadResult serial = account(nullptr);
-  ASSERT_GT(serial.comp_ghost.interval_total(samples.size() - 1), 0);
-  ASSERT_GT(serial.comm_ghost.total_volume(), 0);
-  ASSERT_GT(serial.comm_real.total_volume(), 0);
+  const Run serial = account(nullptr);
+  ASSERT_GT(serial.result.comp_ghost.interval_total(samples.size() - 1), 0);
+  ASSERT_GT(serial.result.comm_ghost.total_volume(), 0);
+  ASSERT_GT(serial.result.comm_real.total_volume(), 0);
+
+  // Reference: per particle, the ranks it is a ghost on, sent from its
+  // owner.
+  const GhostFinder finder(w.mesh, w.partition, default_params().ghost_radius);
+  std::vector<Rank> near;
+  for (std::size_t t = 0; t < samples.size(); ++t) {
+    const std::vector<Rank>& owners = serial.owners[t];
+    std::vector<std::vector<std::uint32_t>> lists(8);
+    std::map<std::pair<Rank, Rank>, std::int64_t> sends;
+    for (std::size_t i = 0; i < owners.size(); ++i) {
+      finder.ranks_near(samples[t].positions[i], owners[i], near);
+      for (const Rank r : near) {
+        lists[static_cast<std::size_t>(r)].push_back(
+            static_cast<std::uint32_t>(i));
+        ++sends[{owners[i], r}];
+      }
+    }
+    EXPECT_EQ(bucket_lists(serial.ghosts[t], 8), lists) << "t=" << t;
+    for (Rank r = 0; r < 8; ++r)
+      EXPECT_EQ(serial.result.comp_ghost.at(r, t),
+                static_cast<std::int64_t>(
+                    lists[static_cast<std::size_t>(r)].size()))
+          << "r=" << r << " t=" << t;
+    const auto transfers = serial.result.comm_ghost.interval_transfers(t);
+    ASSERT_EQ(transfers.size(), sends.size()) << "t=" << t;
+    auto expected = sends.begin();
+    for (const auto& transfer : transfers) {
+      EXPECT_EQ(std::make_pair(transfer.from, transfer.to), expected->first)
+          << "t=" << t;
+      EXPECT_EQ(transfer.count, expected->second) << "t=" << t;
+      ++expected;
+    }
+  }
+
   for (const std::size_t workers : {2u, 4u, 7u}) {
     ThreadPool pool(workers);
-    const WorkloadResult split = account(&pool);
+    const Run split = account(&pool);
     EXPECT_GT(pool.stats().tasks, 0u)
-        << workers << " workers ran the ghost loop as one chunk";
-    expect_same_workload(serial, split,
-                         std::to_string(workers) + " workers");
+        << workers << " workers ran the ghost search as one chunk";
+    const std::string what = std::to_string(workers) + " workers";
+    expect_same_workload(serial.result, split.result, what);
+    for (std::size_t t = 0; t < samples.size(); ++t)
+      EXPECT_EQ(bucket_lists(serial.ghosts[t], 8),
+                bucket_lists(split.ghosts[t], 8))
+          << what << " t=" << t;
   }
 }
 

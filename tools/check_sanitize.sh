@@ -53,16 +53,20 @@ echo "sanitizer suite (${SANITIZE}) passed"
 # PipelineSplit), the span tracer's per-thread buffers and the stage hook
 # behind every ScopedSpan (ChromeTrace, TelemetrySession; the real
 # pipeline's stages on a reactor are ReactorStageTest), and the chunked
-# particle loops of workload and picsim: the accounting's ghost search
-# (WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial), the grid
-# rebuild (CollisionGrid) and a threaded proxy run with measurement on
-# (SimDriver.ThreadCountInvariant) — because a full-suite TSan run costs
-# 10x+ and everything else is single-threaded by construction.
+# particle loops of workload and picsim: the one ghost search, which files
+# each interval's ghosts into per-rank lists
+# (WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial, and
+# GeneratorReplay, whose proxy runs it on 4 threads), the grid rebuild
+# (CollisionGrid) and threaded proxy runs whose measurement reads those
+# lists (SimDriver.ThreadCountInvariant,
+# SimDriver.MeasurementProducesRecordsForActiveRanks) — because a
+# full-suite TSan run costs 10x+ and everything else is single-threaded by
+# construction.
 if [ "$TSAN_BUILD_DIR" != "none" ]; then
   cmake -B "$TSAN_BUILD_DIR" -S "$SRC_DIR" -DPICP_SANITIZE=thread
   cmake --build "$TSAN_BUILD_DIR" -j --target picp_tests
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$TSAN_BUILD_DIR/tests/picp_tests" \
-    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*:TraceIo*:ServeDegraded*:PipelineSplit*:ChromeTrace*:TelemetrySession*:StableBucketSort*:WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial:CollisionGrid*:SimDriver.ThreadCountInvariant'
+    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*:TraceIo*:ServeDegraded*:PipelineSplit*:ChromeTrace*:TelemetrySession*:StableBucketSort*:WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial:Mappers/GeneratorReplay*:CollisionGrid*:SimDriver.ThreadCountInvariant:SimDriver.MeasurementProducesRecordsForActiveRanks'
   echo "thread-sanitizer suite passed"
 fi
