@@ -1,9 +1,11 @@
 // Micro-benchmarks of the Dynamic Workload Generator internals: the
-// ghost-rank search (the generator's dominant cost) and full per-interval
-// accounting throughput, inline and split over a pool.
+// ghost-rank search (the generator's dominant cost), full per-interval
+// accounting throughput, inline and split over a pool, and the cost of one
+// split itself.
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 
 #include "mapping/element_mapper.hpp"
@@ -46,7 +48,7 @@ void BM_GhostRanksNear(benchmark::State& state) {
 BENCHMARK(BM_GhostRanksNear)->Arg(12)->Arg(23)->Arg(46)->Arg(92);
 
 // Args: particles, then the workers of the pool the ghost search splits
-// over (0 = no pool: the one inline chunk the offline pipeline runs).
+// over (0 = no pool: the one inline chunk the daemon's pipeline runs).
 void BM_IntervalAccounting(benchmark::State& state) {
   World w;
   const auto positions = cloud(static_cast<std::size_t>(state.range(0)));
@@ -70,6 +72,22 @@ void BM_IntervalAccounting(benchmark::State& state) {
 BENCHMARK(BM_IntervalAccounting)
     ->ArgsProduct({{10000, 30000}, {0, 2, 4}})
     ->UseRealTime();
+
+// One parallel_for of 4 chunks on a 4-worker pool. The Arg is each chunk's
+// busy wait in µs: 0 prices the dispatch alone; at 300 the call takes
+// 300 µs when the workers wake at once and 1200 µs when the caller runs
+// every chunk itself.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  ThreadPool pool(4);
+  const std::chrono::microseconds work(state.range(0));
+  for (auto _ : state)
+    parallel_for(&pool, 4, 1, [work](std::size_t, std::size_t, std::size_t) {
+      const auto start = std::chrono::steady_clock::now();
+      while (std::chrono::steady_clock::now() - start < work) {
+      }
+    });
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(0)->Arg(300)->UseRealTime();
 
 void BM_CommMatrixAdd(benchmark::State& state) {
   CommMatrix comm(8352, 1);

@@ -1,5 +1,8 @@
 #include "core/pipeline.hpp"
 
+#include <algorithm>
+#include <thread>
+
 #include "mapping/mapper.hpp"
 #include "mesh/partition.hpp"
 #include "telemetry/telemetry.hpp"
@@ -10,8 +13,24 @@
 namespace picp {
 
 PredictionPipeline::PredictionPipeline(const SpectralMesh& mesh,
-                                       ModelSet models)
-    : mesh_(&mesh), models_(std::move(models)) {}
+                                       ModelSet models, std::size_t threads)
+    : mesh_(&mesh), models_(std::move(models)), threads_(threads) {}
+
+std::size_t PredictionPipeline::threads() const {
+  // Resolved on use, not at construction: hardware_concurrency() reads a
+  // system file, and construction is part of a session's timed set-up.
+  return threads_ != 0
+             ? threads_
+             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool* PredictionPipeline::pool() const {
+  std::call_once(pool_started_, [this] {
+    if (const std::size_t workers = threads(); workers > 1)
+      pool_ = std::make_unique<ThreadPool>(workers);
+  });
+  return pool_.get();
+}
 
 WorkloadResult PredictionPipeline::generate_workload(
     TraceReader& trace, const PredictionConfig& config) const {
@@ -33,7 +52,7 @@ WorkloadResult PredictionPipeline::generate_workload(
   params.max_intervals = config.max_intervals;
   params.interval_stride = config.interval_stride;
   params.deadline = config.deadline;
-  WorkloadGenerator generator(*mesh_, partition, *mapper, params);
+  WorkloadGenerator generator(*mesh_, partition, *mapper, params, pool());
   try {
     return generator.generate(trace);
   } catch (const TraceCorruptError& e) {

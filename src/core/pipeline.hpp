@@ -1,5 +1,8 @@
 #pragma once
 
+#include <cstddef>
+#include <memory>
+#include <mutex>
 #include <string>
 
 #include "bsst/trace_sim.hpp"
@@ -8,6 +11,7 @@
 #include "model/model_set.hpp"
 #include "trace/trace_reader.hpp"
 #include "util/deadline.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace picp {
@@ -46,9 +50,15 @@ struct PredictionOutcome {
 /// system-level simulation → predicted application performance. One
 /// pipeline instance serves any number of target processor counts from the
 /// same trace — the paper's central "single trace, any R" property.
+///
+/// Generation splits each interval's ghost search and tally over the
+/// pipeline's own pool of `threads` workers (0: hardware concurrency; 1: no
+/// pool, every loop inline). The pool starts on the first generation, not
+/// at construction, and concurrent generations share it.
 class PredictionPipeline {
  public:
-  PredictionPipeline(const SpectralMesh& mesh, ModelSet models);
+  PredictionPipeline(const SpectralMesh& mesh, ModelSet models,
+                     std::size_t threads = 0);
 
   /// Workload generation only (no performance models needed) — enough for
   /// the scalability / algorithm-evaluation studies (Figs 1, 5, 6, 8, 9).
@@ -71,10 +81,18 @@ class PredictionPipeline {
 
   const SpectralMesh& mesh() const { return *mesh_; }
   const ModelSet& models() const { return models_; }
+  /// Workers generation splits over (1 when there is no pool).
+  std::size_t threads() const;
+  /// The pool generation splits over, started on the first call; null when
+  /// threads() == 1.
+  ThreadPool* pool() const;
 
  private:
   const SpectralMesh* mesh_;
   ModelSet models_;
+  std::size_t threads_;  // as passed: 0 is resolved on use
+  mutable std::once_flag pool_started_;
+  mutable std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace picp

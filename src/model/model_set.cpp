@@ -1,8 +1,10 @@
 #include "model/model_set.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "model/expr.hpp"
 #include "model/linear.hpp"
@@ -76,44 +78,82 @@ void ModelSet::save(const std::string& path) const {
   PICP_ENSURE(out.good(), "model file write failed: " + path);
 }
 
+namespace {
+/// The whitespace-separated fields of one serialized model, parsed with
+/// `std::from_chars` rather than a stream: once a process runs threads,
+/// every stream pays atomic locale reference counts, and loading models is
+/// part of every session's set-up.
+class Fields {
+ public:
+  explicit Fields(std::string_view text) : rest_(text) {}
+
+  /// The next field, or "" when none is left.
+  std::string_view word() {
+    const std::size_t begin = rest_.find_first_not_of(" \t\r\n");
+    if (begin == std::string_view::npos) {
+      rest_ = {};
+      return {};
+    }
+    rest_.remove_prefix(begin);
+    const std::size_t end =
+        std::min(rest_.find_first_of(" \t\r\n"), rest_.size());
+    const std::string_view field = rest_.substr(0, end);
+    rest_.remove_prefix(end);
+    return field;
+  }
+
+  /// Parse the next field into `value`; false when there is none or it is
+  /// not a whole number of type T.
+  template <typename T>
+  bool next(T& value) {
+    const std::string_view field = word();
+    if (field.empty()) return false;
+    const char* const end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+    return ec == std::errc() && ptr == end;
+  }
+
+  std::string_view rest() const { return rest_; }
+
+ private:
+  std::string_view rest_;
+};
+}  // namespace
+
 std::unique_ptr<PerfModel> ModelSet::parse_model(
     const std::string& serialized, const std::vector<std::string>& features) {
-  std::istringstream in(serialized);
-  std::string kind;
-  in >> kind;
+  Fields in(serialized);
+  const std::string_view kind = in.word();
   if (kind == "linear") {
     double intercept = 0.0;
-    in >> intercept;
+    PICP_REQUIRE(in.next(intercept), "malformed linear model");
     std::vector<double> coef;
-    double c = 0.0;
-    while (in >> c) coef.push_back(c);
+    for (double c = 0.0; in.next(c);) coef.push_back(c);
     PICP_REQUIRE(coef.size() == features.size(),
                  "linear model arity mismatch");
     return std::make_unique<LinearModel>(std::move(coef), intercept, features);
   }
   if (kind == "poly") {
     std::size_t terms = 0, nf = 0;
-    in >> terms >> nf;
+    bool ok = in.next(terms) && in.next(nf);
     PICP_REQUIRE(nf == features.size(), "poly model arity mismatch");
     std::vector<std::vector<int>> exps(terms, std::vector<int>(nf, 0));
     std::vector<double> coef(terms, 0.0);
-    for (std::size_t k = 0; k < terms; ++k) {
-      for (std::size_t f = 0; f < nf; ++f) in >> exps[k][f];
-      in >> coef[k];
+    for (std::size_t k = 0; k < terms && ok; ++k) {
+      for (std::size_t f = 0; f < nf && ok; ++f) ok = in.next(exps[k][f]);
+      ok = ok && in.next(coef[k]);
     }
-    PICP_REQUIRE(static_cast<bool>(in), "truncated poly model");
+    PICP_REQUIRE(ok, "truncated poly model");
     return std::make_unique<PolynomialModel>(std::move(exps), std::move(coef),
                                              features);
   }
   if (kind == "sym") {
     double scale = 0.0, offset = 0.0;
-    in >> scale >> offset;
-    std::string tokens;
-    std::getline(in, tokens);
-    return std::make_unique<SymbolicModel>(Expr::from_tokens(trim(tokens)),
-                                           scale, offset, features);
+    PICP_REQUIRE(in.next(scale) && in.next(offset), "malformed sym model");
+    return std::make_unique<SymbolicModel>(
+        Expr::from_tokens(trim(in.rest())), scale, offset, features);
   }
-  throw Error("unknown model kind: " + kind);
+  throw Error("unknown model kind: " + std::string(kind));
 }
 
 ModelSet ModelSet::load(const std::string& path) {

@@ -40,10 +40,10 @@ struct SimConfig {
   /// validation); f32 matches the paper's compact production traces.
   bool trace_float64 = true;
   /// Worker threads for the solver loop, collision-grid rebuilds, the
-  /// in-situ accounting's ghost search and the measurement-path rank
-  /// buckets. 1 = fully serial (no pool), 0 = hardware concurrency. Every
-  /// parallel phase writes only disjoint per-particle slots, so results are
-  /// bit-identical for any value.
+  /// in-situ accounting's ghost search and tally and the measurement-path
+  /// rank buckets. 1 = fully serial (no pool), 0 = hardware concurrency.
+  /// Every parallel phase writes only disjoint per-particle or per-rank
+  /// slots, so results are bit-identical for any value.
   std::size_t threads = 1;
   /// Write a crash-recovery checkpoint (`<trace>.ckpt`) every N iterations
   /// when a trace is being written; 0 disables. `simulate --resume`

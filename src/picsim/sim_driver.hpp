@@ -61,12 +61,12 @@ struct RunOptions {
 ///
 /// With `config.threads != 1` the solver loop, collision-grid rebuilds, the
 /// in-situ workload accounting's ghost search (whose per-rank ghost lists
-/// measurement reads) and the measurement-path rank buckets run on an
-/// internal ThreadPool, split by `parallel_for`'s rule. Every parallel
-/// phase writes only disjoint per-particle slots and every merge is
-/// performed in deterministic chunk order, so the trace, the workload
-/// accounting, and the final particle state are bit-identical for any
-/// thread count.
+/// measurement reads) and tally, and the measurement-path rank buckets run
+/// on an internal ThreadPool, split by `parallel_for`'s rule. Every
+/// parallel phase writes only disjoint per-particle or per-rank slots and
+/// every merge is performed in deterministic chunk order, so the trace,
+/// the workload accounting, and the final particle state are bit-identical
+/// for any thread count.
 class SimDriver {
  public:
   explicit SimDriver(const SimConfig& config);

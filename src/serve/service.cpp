@@ -180,7 +180,10 @@ PredictionService::PredictionService(const ServiceConfig& config)
     const Predictor resolved(models_, config_.default_filter);
     models_loaded_ = true;
   }
-  pipeline_ = std::make_unique<PredictionPipeline>(mesh_, models_);
+  // Inline generations: the daemon already runs one cold generation per
+  // handler worker, and no split of cores between generations and ghost
+  // threads has been measured to beat that.
+  pipeline_ = std::make_unique<PredictionPipeline>(mesh_, models_, 1);
   PICP_LOG_INFO << "service ready: trace " << config_.trace_path << " ("
                 << trace_.num_particles() << " particles, "
                 << trace_.num_samples() << " samples), models "

@@ -128,6 +128,43 @@ std::size_t chunk_count(const ThreadPool* pool, std::size_t n,
                                  workers);
 }
 
+namespace {
+/// One `parallel_for` call's chunks, shared by the caller and its submitted
+/// tasks. A task can start after the call has returned, so it holds the
+/// state by shared_ptr; it then finds no chunk left and never reads `fn`.
+struct ChunkClaims {
+  ChunkClaims(const ChunkFn& body, std::size_t items, std::size_t count)
+      : fn(&body), n(items), chunks(count) {}
+
+  /// Run chunks until none is unclaimed.
+  void run() {
+    for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
+         c < chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
+      std::exception_ptr failure;
+      try {
+        // Chunk c covers [c·n/chunks, (c+1)·n/chunks): every chunk is
+        // non-empty and holds at least n / chunks >= grain items.
+        (*fn)(c, c * n / chunks, (c + 1) * n / chunks);
+      } catch (...) {
+        failure = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mutex);
+      if (failure && error == nullptr) error = std::move(failure);
+      if (++finished == chunks) all_finished.notify_all();
+    }
+  }
+
+  const ChunkFn* fn;  // read only while a claimed chunk keeps the call open
+  const std::size_t n;
+  const std::size_t chunks;
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable all_finished;
+  std::size_t finished = 0;
+  std::exception_ptr error;  // this call's first
+};
+}  // namespace
+
 void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
                   const ChunkFn& fn) {
   const std::size_t chunks = chunk_count(pool, n, grain);
@@ -136,13 +173,14 @@ void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
     fn(0, 0, n);
     return;
   }
-  // Chunk c covers [c·n/chunks, (c+1)·n/chunks): every chunk is non-empty
-  // and holds at least n / chunks >= grain items.
-  for (std::size_t c = 0; c < chunks; ++c)
-    pool->submit([&fn, c, n, chunks] {
-      fn(c, c * n / chunks, (c + 1) * n / chunks);
-    });
-  pool->wait_idle();
+  const auto claims = std::make_shared<ChunkClaims>(fn, n, chunks);
+  for (std::size_t c = 1; c < chunks; ++c)
+    pool->submit([claims] { claims->run(); });
+  claims->run();
+  std::unique_lock<std::mutex> lock(claims->mutex);
+  claims->all_finished.wait(
+      lock, [&claims] { return claims->finished == claims->chunks; });
+  if (claims->error) std::rethrow_exception(claims->error);
 }
 
 namespace {

@@ -46,10 +46,10 @@ struct ThreadPoolStats {
 /// deque-per-thread design would buy nothing.
 ///
 /// Exception safety: a throwing task does not terminate the process. The
-/// first exception thrown by any task in a batch is captured and rethrown
-/// from the next `wait_idle()` (and therefore from `parallel_for`); the
-/// remaining tasks of the batch still run to completion, and the pool stays
-/// usable afterwards.
+/// first exception thrown by any submitted task is captured and rethrown
+/// from the next `wait_idle()`; the remaining tasks still run to
+/// completion, and the pool stays usable afterwards. `parallel_for` keeps
+/// its chunks' exceptions per call instead and never calls `wait_idle()`.
 class ThreadPool {
  public:
   /// `threads == 0` selects std::thread::hardware_concurrency() (min 1).
@@ -119,10 +119,14 @@ std::size_t chunk_count(const ThreadPool* pool, std::size_t n,
 
 /// Run fn(chunk, begin, end) over every chunk of [0, n) under the rule
 /// above, blocking until all are done. One chunk runs inline on the caller,
-/// with no submit and no wait. More are submitted to `pool` and waited for,
-/// so a task of `pool` must not call this with `pool`: its own task counts
-/// as in flight, and the wait never ends. Exceptions from fn propagate to
-/// the caller.
+/// with no submit and no wait. With more, chunks - 1 tasks go to `pool`,
+/// and the caller and those tasks claim chunk indices from one counter: the
+/// caller runs chunks until none is left unclaimed, then waits only for
+/// chunks running on other threads. It never waits for a chunk nobody has
+/// started, so a task of `pool` may pass `pool`, and concurrent calls on
+/// one pool never wait for each other's chunks. Every chunk runs even if
+/// one throws; the call then rethrows the first exception its own chunks
+/// raised.
 void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
                   const ChunkFn& fn);
 

@@ -1,6 +1,7 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
@@ -10,11 +11,21 @@
 
 namespace picp {
 
+namespace {
+/// Fewest ranks per chunk of the ghost tally.
+constexpr std::size_t kTallyGrain = 64;
+}  // namespace
+
 WorkloadGenerator::WorkloadGenerator(const SpectralMesh& mesh,
                                      const MeshPartition& partition,
                                      Mapper& mapper,
-                                     const WorkloadParams& params)
-    : mesh_(&mesh), partition_(&partition), mapper_(&mapper), params_(params) {
+                                     const WorkloadParams& params,
+                                     ThreadPool* pool)
+    : mesh_(&mesh),
+      partition_(&partition),
+      mapper_(&mapper),
+      params_(params),
+      pool_(pool) {
   PICP_REQUIRE(partition.num_ranks() == mapper.num_ranks(),
                "mapper and partition disagree on processor count");
   PICP_REQUIRE(params.interval_stride >= 1, "interval stride must be >= 1");
@@ -110,13 +121,37 @@ void accumulate_interval_workload(
     Buckets& lists = ghosts != nullptr ? *ghosts : local;
     GhostFinder(mesh, partition, params.ghost_radius)
         .bucket(positions, owners, pool, lists);
-    for (Rank r = 0; r < partition.num_ranks(); ++r) {
-      const auto ids = lists.bucket(static_cast<std::size_t>(r));
-      result.comp_ghost.add(r, t, static_cast<std::int64_t>(ids.size()));
-      if (params.compute_comm)
-        for (const std::uint32_t i : ids)
-          result.comm_ghost.add(owners[i], r, t, 1);
-    }
+    // Each chunk of ranks writes only its ranks' comp_ghost entries and
+    // collects its (owner, rank, count) sends, which are added in chunk
+    // order afterwards.
+    const auto ranks = static_cast<std::size_t>(partition.num_ranks());
+    std::vector<std::vector<CommMatrix::Transfer>> sends(
+        chunk_count(pool, ranks, kTallyGrain));
+    parallel_for(
+        pool, ranks, kTallyGrain,
+        [&](std::size_t c, std::size_t begin, std::size_t end) {
+          std::vector<std::uint32_t> from_owner(params.compute_comm ? ranks
+                                                                    : 0);
+          std::vector<Rank> owners_seen;
+          for (std::size_t r = begin; r < end; ++r) {
+            const auto ids = lists.bucket(r);
+            result.comp_ghost.add(static_cast<Rank>(r), t,
+                                  static_cast<std::int64_t>(ids.size()));
+            if (!params.compute_comm) continue;
+            for (const std::uint32_t i : ids)
+              if (from_owner[static_cast<std::size_t>(owners[i])]++ == 0)
+                owners_seen.push_back(owners[i]);
+            for (const Rank owner : owners_seen)
+              sends[c].push_back(CommMatrix::Transfer{
+                  owner, static_cast<Rank>(r),
+                  std::exchange(from_owner[static_cast<std::size_t>(owner)],
+                                0u)});
+            owners_seen.clear();
+          }
+        });
+    for (const auto& chunk : sends)
+      for (const CommMatrix::Transfer& send : chunk)
+        result.comm_ghost.add(send.from, send.to, t, send.count);
   }
 }
 
@@ -135,7 +170,7 @@ void WorkloadGenerator::process_interval(std::size_t t,
   result.partitions_per_interval.push_back(mapper_->num_partitions());
 
   accumulate_interval_workload(*mesh_, *partition_, positions, owners_,
-                               prev_owners_, params_, t, result, nullptr,
+                               prev_owners_, params_, t, result, pool_,
                                &ghosts_);
   prev_owners_ = owners_;
 }

@@ -68,11 +68,12 @@ struct WorkloadResult {
 ///
 /// The ghost search, the costly part, is `GhostFinder::bucket`: it files
 /// the interval's ghosts into per-rank lists, split over `pool` (with no
-/// pool, one inline chunk), and comp_ghost and comm_ghost are tallied from
-/// those lists rank by rank. Every tally is the same for any pool. When
-/// `ghosts` is given and `params.compute_ghosts` is set, it receives the
-/// lists, so a caller that needs them searches no second time. A task of
-/// `pool` must not pass `pool`.
+/// pool, one inline chunk). The tally then splits the ranks over `pool`:
+/// comp_ghost adds each list's length, and comm_ghost one transfer per
+/// distinct (owner, rank) pair, counted from the list. Every tally is the
+/// same for any pool. When `ghosts` is given and `params.compute_ghosts` is
+/// set, it receives the lists, so a caller that needs them searches no
+/// second time.
 void accumulate_interval_workload(
     const SpectralMesh& mesh, const MeshPartition& partition,
     std::span<const Vec3> positions, std::span<const Rank> owners,
@@ -89,8 +90,10 @@ void accumulate_interval_workload(
 /// sample at a time and only the previous interval's ownership is retained.
 class WorkloadGenerator {
  public:
+  /// Each interval's accounting splits over `pool` (null: inline).
   WorkloadGenerator(const SpectralMesh& mesh, const MeshPartition& partition,
-                    Mapper& mapper, const WorkloadParams& params);
+                    Mapper& mapper, const WorkloadParams& params,
+                    ThreadPool* pool = nullptr);
 
   /// Stream an on-disk trace (rewinds it first).
   WorkloadResult generate(TraceReader& trace);
@@ -109,6 +112,7 @@ class WorkloadGenerator {
   const MeshPartition* partition_;
   Mapper* mapper_;
   WorkloadParams params_;
+  ThreadPool* pool_;
 
   std::vector<Rank> owners_;
   std::vector<Rank> prev_owners_;

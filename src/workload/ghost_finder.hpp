@@ -36,7 +36,7 @@ class GhostFinder {
   /// split over `pool` by its rule, and the lists are the same for any
   /// pool. Over 2^16 ranks the sort runs as one chunk, so a pooled search
   /// runs inline there; no config reaches that (the paper's largest R is
-  /// 8352). A task of `pool` must not pass `pool`.
+  /// 8352).
   void bucket(std::span<const Vec3> positions, std::span<const Rank> owners,
               ThreadPool* pool, Buckets& out) const;
 

@@ -89,6 +89,7 @@ TEST(CollisionGrid, ParallelRebuildBitIdenticalToSerial) {
   ThreadPool pool(4);
   CollisionGrid parallel(cutoff);
   parallel.rebuild(cloud, &pool);
+  pool.wait_idle();  // a chunk's task may still be queued after the call
   EXPECT_GT(pool.stats().tasks, 0u) << "the rebuild ran as one chunk";
   ASSERT_EQ(serial.cell_count(), parallel.cell_count());
   // The neighbor *sequence* (not just the set) must match: the parallel

@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -69,16 +71,17 @@ void expect_same_workload(const WorkloadResult& a, const WorkloadResult& b) {
       ASSERT_EQ(a.comp_real.at(r, t), b.comp_real.at(r, t));
       ASSERT_EQ(a.comp_ghost.at(r, t), b.comp_ghost.at(r, t));
     }
-    const auto ta = a.comm_real.interval_transfers(t);
-    const auto tb = b.comm_real.interval_transfers(t);
-    ASSERT_EQ(ta.size(), tb.size());
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-      ASSERT_EQ(ta[i].from, tb[i].from);
-      ASSERT_EQ(ta[i].to, tb[i].to);
-      ASSERT_EQ(ta[i].count, tb[i].count);
+    for (const auto& [ma, mb] : {std::pair{&a.comm_real, &b.comm_real},
+                                 std::pair{&a.comm_ghost, &b.comm_ghost}}) {
+      const auto ta = ma->interval_transfers(t);
+      const auto tb = mb->interval_transfers(t);
+      ASSERT_EQ(ta.size(), tb.size());
+      for (std::size_t i = 0; i < ta.size(); ++i) {
+        ASSERT_EQ(ta[i].from, tb[i].from);
+        ASSERT_EQ(ta[i].to, tb[i].to);
+        ASSERT_EQ(ta[i].count, tb[i].count);
+      }
     }
-    ASSERT_EQ(a.comm_ghost.interval_volume(t), b.comm_ghost.interval_volume(t));
-    ASSERT_EQ(a.comm_ghost.interval_pairs(t), b.comm_ghost.interval_pairs(t));
   }
 }
 
@@ -154,6 +157,74 @@ TEST(PipelineSplit, DifferentTargetsFromOneWorkloadStayIndependent) {
   EXPECT_GT(slow_net.total_seconds, fast_net.total_seconds);
   // Compute critical path has no network term, so it must not move.
   EXPECT_EQ(slow_net.critical_path_seconds, fast_net.critical_path_seconds);
+}
+
+/// Threads of this process now.
+std::size_t thread_count() {
+  std::size_t threads = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task"))
+    ++threads;
+  return threads;
+}
+
+TEST(PipelineSplit, PooledGenerationMatchesInlineExactly) {
+  // At 256 ranks both the ghost search (1500 particles, grain 256) and the
+  // rank-split tally (grain 64) run more than one chunk on 2 or more
+  // workers.
+  SplitFixture f;
+  PredictionConfig pc;
+  pc.num_ranks = 256;
+  pc.filter_size = f.cfg.filter_size;
+  TraceReader reader(f.trace_path);
+  const PredictionPipeline inline_pipeline(f.driver->mesh(), f.models, 1);
+  ASSERT_EQ(inline_pipeline.threads(), 1u);
+  ASSERT_EQ(inline_pipeline.pool(), nullptr);
+  const PredictionOutcome expected = inline_pipeline.predict(reader, pc);
+  ASSERT_GT(expected.workload.comm_ghost.total_volume(), 0);
+  for (const std::size_t threads : {0u, 4u}) {
+    SCOPED_TRACE(threads);
+    const PredictionPipeline pipeline(f.driver->mesh(), f.models, threads);
+    const PredictionOutcome outcome = pipeline.predict(reader, pc);
+    expect_same_workload(expected.workload, outcome.workload);
+    expect_same_report(expected.sim, outcome.sim);
+  }
+}
+
+TEST(PipelineSplit, PoolStartsOnTheFirstGenerationNotAtConstruction) {
+  SplitFixture f;
+  PredictionConfig pc;
+  pc.num_ranks = f.cfg.num_ranks;
+  pc.filter_size = f.cfg.filter_size;
+  TraceReader reader(f.trace_path);
+  const std::size_t before = thread_count();
+  const PredictionPipeline pipeline(f.driver->mesh(), f.models, 3);
+  EXPECT_EQ(pipeline.threads(), 3u);
+  EXPECT_EQ(thread_count(), before) << "construction started a thread";
+  pipeline.generate_workload(reader, pc);
+  EXPECT_EQ(thread_count(), before + 3) << "the first generation";
+  pipeline.generate_workload(reader, pc);
+  EXPECT_EQ(thread_count(), before + 3) << "the second generation";
+}
+
+TEST(PipelineSplit, ConcurrentFirstGenerationsStartOnePool) {
+  SplitFixture f;
+  PredictionConfig pc;
+  pc.num_ranks = f.cfg.num_ranks;
+  pc.filter_size = f.cfg.filter_size;
+  const std::size_t before = thread_count();
+  const PredictionPipeline pipeline(f.driver->mesh(), f.models, 2);
+  std::vector<WorkloadResult> results(4);
+  std::vector<std::thread> threads;
+  for (WorkloadResult& result : results)
+    threads.emplace_back([&, out = &result] {
+      TraceReader reader(f.trace_path);
+      *out = pipeline.generate_workload(reader, pc);
+    });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(thread_count(), before + 2);
+  for (std::size_t i = 1; i < results.size(); ++i)
+    expect_same_workload(results[0], results[i]);
 }
 
 /// The "results" rows of one daemon reply to `body` on `target`.
@@ -251,6 +322,25 @@ TEST(PipelineSplit, DaemonRowsEqualThePipelinesFieldsExactly) {
                 w.comm_ghost.total_volume());
     }
   }
+  std::remove(models_path.c_str());
+}
+
+TEST(PipelineSplit, DaemonColdPredictStartsNoThread) {
+  SplitFixture f;
+  const std::string models_path = f.trace_path + ".models";
+  f.models.save(models_path);
+  serve::ServiceConfig config;
+  config.trace_path = f.trace_path;
+  config.models_path = models_path;
+  config.nelx = f.cfg.nelx;
+  config.nely = f.cfg.nely;
+  config.nelz = f.cfg.nelz;
+  config.points_per_dim = f.cfg.points_per_dim;
+  serve::PredictionService service(config);
+  const std::size_t before = thread_count();
+  EXPECT_EQ(daemon_rows(service, "/v1/predict", R"({"ranks": [256]})").size(),
+            1u);
+  EXPECT_EQ(thread_count(), before);
   std::remove(models_path.c_str());
 }
 

@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -209,6 +214,111 @@ TEST(ThreadPool, ChunksAreContiguousAscendingAndIndexed) {
   }
 }
 
+/// How long a test waits for something that must happen promptly. A wait
+/// that runs out is a failure, not a hang.
+constexpr auto kBound = std::chrono::seconds(10);
+
+/// A count that threads raise and others wait on, up to kBound.
+class Arrivals {
+ public:
+  void arrive() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      ++count_;
+    }
+    raised_.notify_all();
+  }
+  /// Whether the count reached `count` within kBound.
+  bool wait_for(int count) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return raised_.wait_for(lock, kBound,
+                            [this, count] { return count_ >= count; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable raised_;
+  int count_ = 0;
+};
+
+TEST(ThreadPool, CallerRunsEveryChunkWhileEveryWorkerIsBusy) {
+  ThreadPool pool(2);
+  Arrivals release;
+  for (int i = 0; i < 2; ++i) pool.submit([&release] { release.wait_for(1); });
+  // Both workers take a blocking task before any chunk's task (FIFO).
+  ASSERT_EQ(chunk_count(&pool, 1000, 1), 2u);
+  std::vector<std::thread::id> ran_on(2);
+  auto call = std::async(std::launch::async, [&pool, &ran_on] {
+    parallel_for(&pool, 1000, 1, [&ran_on](std::size_t c, std::size_t,
+                                           std::size_t) {
+      ran_on[c] = std::this_thread::get_id();
+    });
+    return std::this_thread::get_id();
+  });
+  const bool returned =
+      call.wait_for(kBound) == std::future_status::ready;
+  release.arrive();
+  const std::thread::id caller = call.get();
+  pool.wait_idle();
+  EXPECT_TRUE(returned) << "parallel_for waited for a chunk nobody started";
+  for (std::size_t c = 0; c < ran_on.size(); ++c)
+    EXPECT_EQ(ran_on[c], caller) << "chunk " << c;
+}
+
+TEST(ThreadPool, ATaskMayPassItsOwnPool) {
+  struct State {
+    std::atomic<std::size_t> covered{0};
+    Arrivals returned;
+  };
+  auto pool = std::make_unique<ThreadPool>(2);
+  const auto state = std::make_shared<State>();
+  pool->submit([state, &pool] {
+    parallel_for(pool.get(), 1000, 1,
+                 [&state](std::size_t, std::size_t begin, std::size_t end) {
+                   state->covered += end - begin;
+                 });
+    state->returned.arrive();
+  });
+  if (!state->returned.wait_for(1)) {
+    // The nested call never returns, so neither can the pool's destructor.
+    static_cast<void>(pool.release());
+    FAIL() << "a task's parallel_for on its own pool did not return";
+  }
+  pool->wait_idle();
+  EXPECT_EQ(state->covered.load(), 1000u);
+}
+
+TEST(ThreadPool, ConcurrentCallsKeepTheirOwnCompletionAndErrors) {
+  ThreadPool pool(2);
+  Arrivals blocked;
+  Arrivals throwing_returned;
+  std::atomic<int> timed_out{0};
+  // One call's two chunks block until the other call, whose chunks throw,
+  // has returned.
+  auto blocking = std::async(std::launch::async, [&] {
+    parallel_for(&pool, 2, 1, [&](std::size_t, std::size_t, std::size_t) {
+      blocked.arrive();
+      if (!throwing_returned.wait_for(1)) ++timed_out;
+    });
+  });
+  ASSERT_TRUE(blocked.wait_for(2)) << "the blocking call's chunks";
+  std::string error;
+  try {
+    parallel_for(&pool, 2, 1, [](std::size_t c, std::size_t, std::size_t) {
+      throw Error("throwing call, chunk " + std::to_string(c));
+    });
+  } catch (const Error& e) {
+    error = e.what();
+  }
+  throwing_returned.arrive();
+  EXPECT_NO_THROW(blocking.get()) << "the blocking call got the other's error";
+  EXPECT_NE(error.find("throwing call"), std::string::npos)
+      << "the throwing call did not rethrow its own error";
+  EXPECT_EQ(timed_out.load(), 0)
+      << "the throwing call waited for the blocking call's chunks";
+  pool.wait_idle();
+}
+
 // The stable bucket sort files ids in item order within each bucket, the
 // same for no pool and for pools that split the items into many chunks.
 TEST(StableBucketSort, SameBucketsForAnyPool) {
@@ -252,6 +362,7 @@ TEST(StableBucketSort, SameBucketsForAnyPool) {
   for (const std::size_t workers : {2u, 3u, 8u}) {
     ThreadPool pool(workers);
     const Buckets split = sort(&pool);
+    pool.wait_idle();  // a chunk's task may still be queued after the call
     EXPECT_GT(pool.stats().tasks, 0u) << workers << " workers ran one chunk";
     EXPECT_EQ(split.offsets, serial.offsets) << workers << " workers";
     EXPECT_EQ(split.ids, serial.ids) << workers << " workers";

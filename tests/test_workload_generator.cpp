@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <map>
+#include <tuple>
 #include <utility>
 
 #include "mapping/bin_mapper.hpp"
@@ -199,12 +200,15 @@ std::vector<std::vector<std::uint32_t>> bucket_lists(const Buckets& lists,
 }
 
 TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
-  // accumulate_interval_workload's ghost search split over pools of 2, 4
-  // and 7 workers (1500 particles, grain 256: 2, 4 and 5 chunks) must file
-  // the same per-rank ghost lists and tally exactly what one inline chunk
-  // does, and that chunk must agree with a reference built from
-  // ranks_near, particle by particle.
-  World w;
+  // accumulate_interval_workload split over pools of 2, 4 and 7 workers
+  // must file the same per-rank ghost lists and tally exactly what one
+  // inline chunk does, and that chunk must agree with a reference built
+  // from ranks_near, particle by particle. The search splits 1500
+  // particles (grain 256) into 2, 4 and 5 chunks, and the tally 448 ranks
+  // (grain 64) into 2, 4 and 7.
+  constexpr Rank kRanks = 448;
+  const SpectralMesh mesh(Aabb(Vec3(0, 0, 0), Vec3(1, 1, 1)), 16, 16, 16, 3);
+  const MeshPartition partition = rcb_partition(mesh, kRanks);
   const auto samples = drifting_cloud(1500, 6, 21);
   struct Run {
     WorkloadResult result;
@@ -212,15 +216,15 @@ TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
     std::vector<Buckets> ghosts;            // per interval
   };
   const auto account = [&](ThreadPool* pool) {
-    ElementMapper mapper(w.mesh, w.partition);
-    Run run{WorkloadResult(8, samples.size()),
+    ElementMapper mapper(mesh, partition);
+    Run run{WorkloadResult(kRanks, samples.size()),
             std::vector<std::vector<Rank>>(samples.size()),
             std::vector<Buckets>(samples.size())};
     std::vector<Rank> prev_owners;
     for (std::size_t t = 0; t < samples.size(); ++t) {
       std::vector<Rank>& owners = run.owners[t];
       mapper.map(samples[t].positions, owners);
-      accumulate_interval_workload(w.mesh, w.partition, samples[t].positions,
+      accumulate_interval_workload(mesh, partition, samples[t].positions,
                                    owners, prev_owners, default_params(), t,
                                    run.result, pool, &run.ghosts[t]);
       prev_owners = owners;
@@ -234,11 +238,11 @@ TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
 
   // Reference: per particle, the ranks it is a ghost on, sent from its
   // owner.
-  const GhostFinder finder(w.mesh, w.partition, default_params().ghost_radius);
+  const GhostFinder finder(mesh, partition, default_params().ghost_radius);
   std::vector<Rank> near;
   for (std::size_t t = 0; t < samples.size(); ++t) {
     const std::vector<Rank>& owners = serial.owners[t];
-    std::vector<std::vector<std::uint32_t>> lists(8);
+    std::vector<std::vector<std::uint32_t>> lists(kRanks);
     std::map<std::pair<Rank, Rank>, std::int64_t> sends;
     for (std::size_t i = 0; i < owners.size(); ++i) {
       finder.ranks_near(samples[t].positions[i], owners[i], near);
@@ -248,8 +252,8 @@ TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
         ++sends[{owners[i], r}];
       }
     }
-    EXPECT_EQ(bucket_lists(serial.ghosts[t], 8), lists) << "t=" << t;
-    for (Rank r = 0; r < 8; ++r)
+    EXPECT_EQ(bucket_lists(serial.ghosts[t], kRanks), lists) << "t=" << t;
+    for (Rank r = 0; r < kRanks; ++r)
       EXPECT_EQ(serial.result.comp_ghost.at(r, t),
                 static_cast<std::int64_t>(
                     lists[static_cast<std::size_t>(r)].size()))
@@ -265,16 +269,23 @@ TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
     }
   }
 
-  for (const std::size_t workers : {2u, 4u, 7u}) {
+  // Workers, then the search's and the tally's chunks.
+  for (const auto& [workers, search, tally] :
+       {std::tuple{2u, 2u, 2u}, std::tuple{4u, 4u, 4u},
+        std::tuple{7u, 5u, 7u}}) {
     ThreadPool pool(workers);
     const Run split = account(&pool);
-    EXPECT_GT(pool.stats().tasks, 0u)
-        << workers << " workers ran the ghost search as one chunk";
+    pool.wait_idle();  // a chunk's task may still be queued after the call
+    // Per interval the search's count and scatter steps and the tally each
+    // submit one task per chunk but the caller's.
+    EXPECT_EQ(pool.stats().tasks,
+              samples.size() * (2 * (search - 1) + (tally - 1)))
+        << workers << " workers split the search or the tally otherwise";
     const std::string what = std::to_string(workers) + " workers";
     expect_same_workload(serial.result, split.result, what);
     for (std::size_t t = 0; t < samples.size(); ++t)
-      EXPECT_EQ(bucket_lists(serial.ghosts[t], 8),
-                bucket_lists(split.ghosts[t], 8))
+      EXPECT_EQ(bucket_lists(serial.ghosts[t], kRanks),
+                bucket_lists(split.ghosts[t], kRanks))
           << what << " t=" << t;
   }
 }

@@ -44,17 +44,20 @@ echo "sanitizer suite (${SANITIZE}) passed"
 # ThreadSanitizer pass over the code that crosses threads. Scoped to the
 # suites that actually do — the reactor's pool dispatch and completion
 # queue, the HTTP server end-to-end, the thread pool itself with its one
-# split rule and the chunked bucket sort (ThreadPool, StableBucketSort),
+# split rule, its callers claiming chunks beside the workers (one call
+# while every worker is busy, a task passing its own pool, two calls on one
+# pool) and the chunked bucket sort (ThreadPool, StableBucketSort),
 # the registry counters and gauges the reactor and the workers (through
 # the artifact caches) share, concurrent misses of one cache key, the
 # observability layer (trace stages ride worker threads; the access log
 # is reactor-written but mutex-guarded for embedders), trace cursors plus
-# the service's lock-free concurrent generations (TraceIo, ServeDegraded,
+# the service's lock-free concurrent generations and the pipeline's pool,
+# started once under concurrent first generations (TraceIo, ServeDegraded,
 # PipelineSplit), the span tracer's per-thread buffers and the stage hook
 # behind every ScopedSpan (ChromeTrace, TelemetrySession; the real
 # pipeline's stages on a reactor are ReactorStageTest), and the chunked
 # particle loops of workload and picsim: the one ghost search, which files
-# each interval's ghosts into per-rank lists
+# each interval's ghosts into per-rank lists, and the tally split over ranks
 # (WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial, and
 # GeneratorReplay, whose proxy runs it on 4 threads), the grid rebuild
 # (CollisionGrid) and threaded proxy runs whose measurement reads those

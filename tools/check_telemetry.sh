@@ -69,6 +69,19 @@ echo "== report --check (predict) =="
 "$PICPREDICT" report tele_pred --check
 grep -q '"command": "predict"' tele_pred/manifest.json \
     || { echo "FAIL: manifest command != predict" >&2; exit 1; }
+# The manifest records the pipeline's workers (hardware concurrency), and a
+# pooled run publishes its pool's stats.
+threads=$(sed -n 's/^  "threads": \([0-9]*\),$/\1/p' tele_pred/manifest.json)
+[[ "$threads" == "$(getconf _NPROCESSORS_ONLN)" ]] \
+    || { echo "FAIL: predict manifest threads '$threads'" >&2; exit 1; }
+if [[ "$threads" -gt 1 ]]; then
+    grep -q "\"threadpool.workers\": $threads\$" tele_pred/manifest.json \
+        || { echo "FAIL: predict published no threadpool.workers" >&2; exit 1; }
+    grep -q '"threadpool.tasks": [1-9]' tele_pred/manifest.json \
+        || { echo "FAIL: predict's pool ran no task" >&2; exit 1; }
+elif grep -q '"threadpool\.' tele_pred/manifest.json; then
+    echo "FAIL: one-worker predict published pool stats" >&2; exit 1
+fi
 # Every pipeline layer, in BENCHMARK.json's per_layer names, as spans and
 # as manifest phases.
 for name in trace.read mesh.partition mapping.map workload.account \

@@ -383,7 +383,6 @@ int cmd_predict(int argc, char** argv) {
     telemetry::SessionOptions session;
     session.directory = flags.at("telemetry-dir");
     telemetry::configure(session);
-    telemetry::set_run_info("predict", 0, 1);
     telemetry::add_run_annotation("trace", argv[2]);
     telemetry::add_run_annotation("models", require_flag(flags, "models"));
     telemetry::add_run_annotation("ranks", require_flag(flags, "ranks"));
@@ -395,6 +394,7 @@ int cmd_predict(int argc, char** argv) {
   const SpectralMesh mesh = mesh_for_trace(trace, flags);
   const ModelSet models = ModelSet::load(require_flag(flags, "models"));
   const PredictionPipeline pipeline(mesh, models);
+  if (telemetry_on) telemetry::set_run_info("predict", 0, pipeline.threads());
 
   std::printf("%8s %16s %18s %14s %12s\n", "ranks", "predicted time s",
               "critical path s", "workload gen s", "DES events");
@@ -412,6 +412,8 @@ int cmd_predict(int argc, char** argv) {
                 outcome.workload_gen_seconds,
                 static_cast<unsigned long long>(outcome.sim.events));
   }
+  if (const ThreadPool* pool = pipeline.pool())
+    telemetry::publish_pool_stats(pool->stats());
   if (telemetry_on) telemetry::finalize();
   return 0;
 }
