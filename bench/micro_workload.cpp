@@ -1,14 +1,16 @@
 // Micro-benchmarks of the Dynamic Workload Generator internals: the
 // ghost-rank search (the generator's dominant cost), full per-interval
-// accounting throughput, inline and split over a pool, and the cost of one
-// split itself.
+// accounting throughput, inline and split over a pool, the cost of one
+// split itself, and the CRC32C that checks every trace frame it reads.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <memory>
+#include <vector>
 
 #include "mapping/element_mapper.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
@@ -100,5 +102,20 @@ void BM_CommMatrixAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CommMatrixAdd);
+
+// One frame's checksum. The Arg is the frame's payload in bytes: 48000 and
+// 240000 are picbench's serve and offline traces (4,000 and 20,000
+// float32 particles). It runs the CPU's CRC32C instruction where the host
+// has it, as every trace read does.
+void BM_Crc32c(benchmark::State& state) {
+  Xoshiro256 rng(11);
+  std::vector<unsigned char> frame(static_cast<std::size_t>(state.range(0)));
+  for (unsigned char& byte : frame)
+    byte = static_cast<unsigned char>(rng.uniform_below(256));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(crc32c(frame.data(), frame.size()));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(48000)->Arg(240000);
 
 }  // namespace

@@ -27,7 +27,10 @@ class Mapper {
   virtual Rank num_ranks() const = 0;
 
   /// Recompute the mapping for the current particle positions and fill
-  /// `owners[i]` with the rank owning particle i. Called once per interval.
+  /// `owners[i]` with the rank owning particle i. Called once per interval,
+  /// in interval order and one call at a time, so a mapper may carry state
+  /// from one call to the next; on a pooled generation the call may run on
+  /// a pool thread, beside the previous interval's accounting.
   virtual void map(std::span<const Vec3> positions,
                    std::vector<Rank>& owners) = 0;
 

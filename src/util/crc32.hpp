@@ -1,30 +1,25 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
 namespace picp {
 
 namespace detail {
-/// Reflected CRC32C (Castagnoli) polynomial — the variant with hardware
-/// support on modern CPUs and strong burst-error detection, used by iSCSI,
-/// ext4, and most storage formats.
-constexpr std::uint32_t kCrc32cPoly = 0x82F63B78u;
+/// Continue a running (uninverted) CRC32C `state` over `size` bytes, one
+/// byte per step through a 256-entry table. Runs on every host, and is the
+/// reference the instruction path is tested against.
+std::uint32_t crc32c_table(std::uint32_t state, const unsigned char* data,
+                           std::size_t size);
 
-constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit)
-      crc = (crc & 1u) != 0 ? (crc >> 1) ^ kCrc32cPoly : crc >> 1;
-    table[i] = crc;
-  }
-  return table;
-}
+/// The same, eight bytes per step with the CPU's CRC32C instruction (SSE4.2
+/// `crc32` on x86-64). Call it only where `crc32c_instruction_available()`;
+/// elsewhere it falls back to the table.
+std::uint32_t crc32c_instruction(std::uint32_t state,
+                                 const unsigned char* data, std::size_t size);
 
-inline constexpr std::array<std::uint32_t, 256> kCrc32cTable =
-    make_crc32c_table();
+/// True when this host has the instruction; asked once, on first use.
+bool crc32c_instruction_available();
 }  // namespace detail
 
 /// Incremental CRC32C accumulator for streamed data (trace frames, file
@@ -32,13 +27,9 @@ inline constexpr std::array<std::uint32_t, 256> kCrc32cTable =
 /// same running checksum.
 class Crc32c {
  public:
-  void update(const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    std::uint32_t crc = state_;
-    for (std::size_t i = 0; i < size; ++i)
-      crc = detail::kCrc32cTable[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-    state_ = crc;
-  }
+  /// Runs the CPU's CRC32C instruction where the host has it, otherwise
+  /// the table loop; both give the same checksum.
+  void update(const void* data, std::size_t size);
 
   /// Checksum a trivially-copyable value by its object representation.
   template <typename T>

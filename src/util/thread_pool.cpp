@@ -139,25 +139,29 @@ struct ChunkClaims {
   /// Run chunks until none is unclaimed.
   void run() {
     for (std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-         c < chunks; c = next.fetch_add(1, std::memory_order_relaxed)) {
-      std::exception_ptr failure;
-      try {
-        // Chunk c covers [c·n/chunks, (c+1)·n/chunks): every chunk is
-        // non-empty and holds at least n / chunks >= grain items.
-        (*fn)(c, c * n / chunks, (c + 1) * n / chunks);
-      } catch (...) {
-        failure = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mutex);
-      if (failure && error == nullptr) error = std::move(failure);
-      if (++finished == chunks) all_finished.notify_all();
+         c < chunks; c = next.fetch_add(1, std::memory_order_relaxed))
+      run_chunk(c);
+  }
+
+  /// Run chunk c, which the calling thread owns, and count it finished.
+  void run_chunk(std::size_t c) {
+    std::exception_ptr failure;
+    try {
+      // Chunk c covers [c·n/chunks, (c+1)·n/chunks): every chunk is
+      // non-empty and holds at least n / chunks >= grain items.
+      (*fn)(c, c * n / chunks, (c + 1) * n / chunks);
+    } catch (...) {
+      failure = std::current_exception();
     }
+    std::lock_guard<std::mutex> lock(mutex);
+    if (failure && error == nullptr) error = std::move(failure);
+    if (++finished == chunks) all_finished.notify_all();
   }
 
   const ChunkFn* fn;  // read only while a claimed chunk keeps the call open
   const std::size_t n;
   const std::size_t chunks;
-  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> next{1};  // chunk 0 is the caller's
   std::mutex mutex;
   std::condition_variable all_finished;
   std::size_t finished = 0;
@@ -176,6 +180,7 @@ void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
   const auto claims = std::make_shared<ChunkClaims>(fn, n, chunks);
   for (std::size_t c = 1; c < chunks; ++c)
     pool->submit([claims] { claims->run(); });
+  claims->run_chunk(0);
   claims->run();
   std::unique_lock<std::mutex> lock(claims->mutex);
   claims->all_finished.wait(

@@ -119,14 +119,16 @@ std::size_t chunk_count(const ThreadPool* pool, std::size_t n,
 
 /// Run fn(chunk, begin, end) over every chunk of [0, n) under the rule
 /// above, blocking until all are done. One chunk runs inline on the caller,
-/// with no submit and no wait. With more, chunks - 1 tasks go to `pool`,
-/// and the caller and those tasks claim chunk indices from one counter: the
-/// caller runs chunks until none is left unclaimed, then waits only for
-/// chunks running on other threads. It never waits for a chunk nobody has
-/// started, so a task of `pool` may pass `pool`, and concurrent calls on
-/// one pool never wait for each other's chunks. Every chunk runs even if
-/// one throws; the call then rethrows the first exception its own chunks
-/// raised.
+/// with no submit and no wait. With more, chunks - 1 tasks go to `pool`;
+/// the caller runs chunk 0 itself, and it and those tasks claim the other
+/// chunk indices from one counter: the caller runs chunks until none is
+/// left unclaimed, then waits only for chunks running on other threads.
+/// Chunk 0 always runs on the caller, so what it allocates comes from the
+/// caller's heap arena whatever the host's load. The call never waits for
+/// a chunk nobody has started, so a task of `pool` may pass `pool`, and
+/// concurrent calls on one pool never wait for each other's chunks. Every
+/// chunk runs even if one throws; the call then rethrows the first
+/// exception its own chunks raised.
 void parallel_for(ThreadPool* pool, std::size_t n, std::size_t grain,
                   const ChunkFn& fn);
 

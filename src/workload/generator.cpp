@@ -1,6 +1,7 @@
 #include "workload/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
@@ -41,7 +42,37 @@ WorkloadResult::WorkloadResult(Rank ranks, std::size_t intervals)
       comm_real(ranks, intervals),
       comm_ghost(ranks, intervals) {}
 
-WorkloadResult WorkloadGenerator::start_result(std::size_t available) const {
+WorkloadResult WorkloadGenerator::generate(TraceReader& trace) {
+  {
+    const telemetry::ScopedSpan span("trace.read", "pipeline");
+    trace.rewind();
+  }
+  std::size_t seen = 0;
+  return run(static_cast<std::size_t>(trace.num_samples()),
+             [this, &trace, &seen](Slot& slot) {
+               // Read frames up to the next strided one.
+               do {
+                 const telemetry::ScopedSpan span("trace.read", "pipeline");
+                 if (!trace.read_next(slot.frame)) return false;
+               } while (seen++ % params_.interval_stride != 0);
+               slot.sample = &slot.frame;
+               return true;
+             });
+}
+
+WorkloadResult WorkloadGenerator::generate(
+    std::span<const TraceSample> samples) {
+  std::size_t s = 0;
+  return run(samples.size(), [this, samples, &s](Slot& slot) {
+    if (s >= samples.size()) return false;
+    slot.sample = &samples[s];
+    s += params_.interval_stride;
+    return true;
+  });
+}
+
+WorkloadResult WorkloadGenerator::run(std::size_t available,
+                                      const Source& next) {
   const std::size_t strided =
       (available + params_.interval_stride - 1) / params_.interval_stride;
   const std::size_t total = std::min(strided, params_.max_intervals);
@@ -49,47 +80,49 @@ WorkloadResult WorkloadGenerator::start_result(std::size_t available) const {
   result.elements_per_rank = partition_->elements_per_rank();
   result.iterations.reserve(total);
   result.partitions_per_interval.reserve(total);
-  return result;
-}
 
-WorkloadResult WorkloadGenerator::generate(TraceReader& trace) {
-  {
-    const telemetry::ScopedSpan span("trace.read", "pipeline");
-    trace.rewind();
-  }
-  WorkloadResult result =
-      start_result(static_cast<std::size_t>(trace.num_samples()));
-  const std::size_t total = result.comp_real.num_intervals();
-
-  TraceSample sample;
-  const auto read_next = [&trace, &sample] {
-    const telemetry::ScopedSpan span("trace.read", "pipeline");
-    return trace.read_next(sample);
-  };
-  std::size_t seen = 0;
-  std::size_t t = 0;
-  while (t < total && read_next()) {
-    if (seen++ % params_.interval_stride != 0) continue;
+  std::array<Slot, 2> slots;
+  bool fetched = total > 0 && fetch(next, slots[0]);
+  for (std::size_t t = 0; t < total; ++t) {
+    PICP_ENSURE(fetched, "trace ended before the planned interval count");
     params_.deadline.check("workload.interval");
-    process_interval(t, sample.iteration, sample.positions, result);
-    ++t;
+    // Item 0 accounts interval t; item 1 fetches t + 1, and only if there
+    // is one, so no frame is read that a plain loop would not read. An
+    // error in either item surfaces from parallel_for once both finish.
+    parallel_for(pool_, 2, 1,
+                 [&](std::size_t, std::size_t begin, std::size_t end) {
+                   for (std::size_t item = begin; item < end; ++item) {
+                     if (item == 0)
+                       account(t, slots[t % 2], result);
+                     else if (t + 1 < total)
+                       fetched = fetch(next, slots[(t + 1) % 2]);
+                   }
+                 });
   }
-  PICP_ENSURE(t == total, "trace ended before the planned interval count");
   return result;
 }
 
-WorkloadResult WorkloadGenerator::generate(
-    std::span<const TraceSample> samples) {
-  WorkloadResult result = start_result(samples.size());
-  const std::size_t total = result.comp_real.num_intervals();
-
-  std::size_t t = 0;
-  for (std::size_t s = 0; s < samples.size() && t < total;
-       s += params_.interval_stride) {
-    process_interval(t, samples[s].iteration, samples[s].positions, result);
-    ++t;
+bool WorkloadGenerator::fetch(const Source& next, Slot& slot) {
+  if (!next(slot)) return false;
+  // Mimic the application's mapping algorithm on this interval's positions.
+  {
+    const telemetry::ScopedSpan span("mapping.map", "pipeline");
+    mapper_->map(slot.sample->positions, slot.owners);
   }
-  return result;
+  PICP_ENSURE(slot.owners.size() == slot.sample->positions.size(),
+              "mapper output size");
+  slot.partitions = mapper_->num_partitions();
+  return true;
+}
+
+void WorkloadGenerator::account(std::size_t t, const Slot& slot,
+                                WorkloadResult& result) {
+  result.iterations.push_back(slot.sample->iteration);
+  result.partitions_per_interval.push_back(slot.partitions);
+  accumulate_interval_workload(*mesh_, *partition_, slot.sample->positions,
+                               slot.owners, prev_owners_, params_, t, result,
+                               pool_, &ghosts_);
+  prev_owners_ = slot.owners;
 }
 
 void accumulate_interval_workload(
@@ -153,26 +186,6 @@ void accumulate_interval_workload(
       for (const CommMatrix::Transfer& send : chunk)
         result.comm_ghost.add(send.from, send.to, t, send.count);
   }
-}
-
-void WorkloadGenerator::process_interval(std::size_t t,
-                                         std::uint64_t iteration,
-                                         std::span<const Vec3> positions,
-                                         WorkloadResult& result) {
-  // Mimic the application's mapping algorithm on this interval's positions.
-  {
-    const telemetry::ScopedSpan span("mapping.map", "pipeline");
-    mapper_->map(positions, owners_);
-  }
-  PICP_ENSURE(owners_.size() == positions.size(), "mapper output size");
-
-  result.iterations.push_back(iteration);
-  result.partitions_per_interval.push_back(mapper_->num_partitions());
-
-  accumulate_interval_workload(*mesh_, *partition_, positions, owners_,
-                               prev_owners_, params_, t, result, pool_,
-                               &ghosts_);
-  prev_owners_ = owners_;
 }
 
 }  // namespace picp

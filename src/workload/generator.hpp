@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -86,11 +87,19 @@ void accumulate_interval_workload(
 /// computation and communication load for any processor count, without
 /// running the application.
 ///
-/// Space complexity is O(num_particles + R): the trace is streamed one
-/// sample at a time and only the previous interval's ownership is retained.
+/// Generation is a two-stage pipeline over intervals: while interval t is
+/// accounted, interval t + 1 is read and mapped into a second slot, as the
+/// two items of one `parallel_for` on the pool. With no pool that call is
+/// one inline chunk, so interval t is accounted and then t + 1 fetched, in
+/// the order of a plain loop. The mapper still sees one call per interval,
+/// in interval order, and every output is the same for any pool.
+///
+/// Space complexity is O(num_particles + R): the trace is streamed with two
+/// samples in flight, and only the previous interval's ownership is kept.
 class WorkloadGenerator {
  public:
-  /// Each interval's accounting splits over `pool` (null: inline).
+  /// Each interval's accounting splits over `pool`, and the next interval
+  /// is read and mapped beside it (null: all inline).
   WorkloadGenerator(const SpectralMesh& mesh, const MeshPartition& partition,
                     Mapper& mapper, const WorkloadParams& params,
                     ThreadPool* pool = nullptr);
@@ -98,15 +107,28 @@ class WorkloadGenerator {
   /// Stream an on-disk trace (rewinds it first).
   WorkloadResult generate(TraceReader& trace);
 
-  /// In-memory samples (tests, small studies).
+  /// In-memory samples (tests, small studies), mapped in place.
   WorkloadResult generate(std::span<const TraceSample> samples);
 
  private:
-  /// The empty result for a source of `available` samples.
-  WorkloadResult start_result(std::size_t available) const;
-  void process_interval(std::size_t t, std::uint64_t iteration,
-                        std::span<const Vec3> positions,
-                        WorkloadResult& result);
+  /// One interval in flight: its sample, and its owners and partition
+  /// count as the mapper left them.
+  struct Slot {
+    TraceSample frame;                    // a streamed interval's storage
+    const TraceSample* sample = nullptr;  // `frame` or the caller's
+    std::vector<Rank> owners;
+    std::int64_t partitions = 0;
+  };
+  /// Points a slot at the next interval's sample; false when none is left.
+  using Source = std::function<bool(Slot&)>;
+
+  /// The interval loop both overloads run, over a source of `available`
+  /// samples.
+  WorkloadResult run(std::size_t available, const Source& next);
+  /// Load the next interval into `slot` and map it; false at the end.
+  bool fetch(const Source& next, Slot& slot);
+  /// Add interval t's load from its fetched slot.
+  void account(std::size_t t, const Slot& slot, WorkloadResult& result);
 
   const SpectralMesh* mesh_;
   const MeshPartition* partition_;
@@ -114,7 +136,6 @@ class WorkloadGenerator {
   WorkloadParams params_;
   ThreadPool* pool_;
 
-  std::vector<Rank> owners_;
   std::vector<Rank> prev_owners_;
   Buckets ghosts_;  // this interval's ghost lists, storage reused
 };

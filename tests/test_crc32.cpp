@@ -1,10 +1,14 @@
 #include "util/crc32.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.hpp"
 
 namespace picp {
 namespace {
@@ -61,6 +65,38 @@ TEST(Crc32c, DetectsSingleBitFlips) {
       EXPECT_NE(crc32c(buf, sizeof(buf)), clean)
           << "flip at byte " << byte << " bit " << bit;
       buf[byte] = static_cast<unsigned char>(buf[byte] ^ (1u << bit));
+    }
+  }
+}
+
+TEST(Crc32c, InstructionMatchesTheTable) {
+  if (!detail::crc32c_instruction_available())
+    GTEST_SKIP() << "this host's CPU has no CRC32C instruction (SSE4.2), so "
+                    "every checksum runs the table loop";
+  constexpr std::uint32_t kStart = 0xFFFFFFFFu;
+  Xoshiro256 rng(20261020);
+  std::vector<unsigned char> buffer(300 + 7);
+  for (std::size_t size = 0; size <= 300; ++size) {
+    for (unsigned char& byte : buffer)
+      byte = static_cast<unsigned char>(rng.uniform_below(256));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const unsigned char* data = buffer.data() + offset;
+      const std::uint32_t table = detail::crc32c_table(kStart, data, size);
+      EXPECT_EQ(detail::crc32c_instruction(kStart, data, size), table)
+          << "whole, size " << size << " offset " << offset;
+      // Uneven pieces, empty ones included, so the 8-byte steps of one
+      // piece start at every alignment of the running checksum.
+      std::uint32_t state = kStart;
+      for (std::size_t at = 0; at < size;) {
+        const std::size_t piece =
+            std::min<std::size_t>(rng.uniform_below(20), size - at);
+        state = detail::crc32c_instruction(state, data + at, piece);
+        at += piece;
+      }
+      EXPECT_EQ(state, table) << "in pieces, size " << size << " offset "
+                              << offset;
+      EXPECT_EQ(crc32c(data, size), ~table)
+          << "size " << size << " offset " << offset;
     }
   }
 }

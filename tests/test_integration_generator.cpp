@@ -8,10 +8,12 @@
 
 #include <cstdio>
 #include <limits>
+#include <string>
 
 #include "mapping/mapper.hpp"
 #include "picsim/sim_driver.hpp"
 #include "trace/trace_reader.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/generator.hpp"
 
 namespace picp {
@@ -39,35 +41,45 @@ TEST_P(GeneratorReplay, ReproducesActualWorkloadExactly) {
   const std::string path = testing::TempDir() + "/picp_replay_" +
                            GetParam() + ".bin";
   // The application's accounting splits its ghost search over 4 threads
-  // (800 particles, grain 256: 3 chunks); the replay runs it as one chunk.
+  // (800 particles, grain 256: 3 chunks). The replay runs inline, and on a
+  // 4-worker pool, where each next interval is read and mapped beside the
+  // current one's accounting.
   SimConfig cfg = tiny_config(GetParam());
   cfg.threads = 4;
   SimDriver driver(cfg);
   const SimResult app = driver.run(path);
 
-  const auto mapper = make_mapper(cfg.mapper_kind, driver.mesh(),
-                                  driver.partition(), cfg.filter_size);
-  WorkloadParams params;
-  params.ghost_radius = cfg.filter_size;
-  WorkloadGenerator generator(driver.mesh(), driver.partition(), *mapper,
-                              params);
-  TraceReader reader(path);
-  const WorkloadResult replay = generator.generate(reader);
+  ThreadPool pool(4);
+  for (ThreadPool* replay_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const std::string what =
+        GetParam() + (replay_pool == nullptr ? " inline" : " pooled");
+    const auto mapper = make_mapper(cfg.mapper_kind, driver.mesh(),
+                                    driver.partition(), cfg.filter_size);
+    WorkloadParams params;
+    params.ghost_radius = cfg.filter_size;
+    WorkloadGenerator generator(driver.mesh(), driver.partition(), *mapper,
+                                params, replay_pool);
+    TraceReader reader(path);
+    const WorkloadResult replay = generator.generate(reader);
 
-  ASSERT_EQ(replay.num_intervals(), app.actual.num_intervals());
-  for (std::size_t t = 0; t < replay.num_intervals(); ++t) {
-    for (Rank r = 0; r < cfg.num_ranks; ++r) {
-      EXPECT_EQ(replay.comp_real.at(r, t), app.actual.comp_real.at(r, t))
-          << GetParam() << " real r=" << r << " t=" << t;
-      EXPECT_EQ(replay.comp_ghost.at(r, t), app.actual.comp_ghost.at(r, t))
-          << GetParam() << " ghost r=" << r << " t=" << t;
+    ASSERT_EQ(replay.num_intervals(), app.actual.num_intervals()) << what;
+    for (std::size_t t = 0; t < replay.num_intervals(); ++t) {
+      for (Rank r = 0; r < cfg.num_ranks; ++r) {
+        EXPECT_EQ(replay.comp_real.at(r, t), app.actual.comp_real.at(r, t))
+            << what << " real r=" << r << " t=" << t;
+        EXPECT_EQ(replay.comp_ghost.at(r, t), app.actual.comp_ghost.at(r, t))
+            << what << " ghost r=" << r << " t=" << t;
+      }
+      EXPECT_EQ(replay.comm_real.interval_volume(t),
+                app.actual.comm_real.interval_volume(t))
+          << what;
+      EXPECT_EQ(replay.comm_ghost.interval_volume(t),
+                app.actual.comm_ghost.interval_volume(t))
+          << what;
+      EXPECT_EQ(replay.partitions_per_interval[t],
+                app.actual.partitions_per_interval[t])
+          << what;
     }
-    EXPECT_EQ(replay.comm_real.interval_volume(t),
-              app.actual.comm_real.interval_volume(t));
-    EXPECT_EQ(replay.comm_ghost.interval_volume(t),
-              app.actual.comm_ghost.interval_volume(t));
-    EXPECT_EQ(replay.partitions_per_interval[t],
-              app.actual.partitions_per_interval[t]);
   }
   std::remove(path.c_str());
 }

@@ -9,9 +9,12 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,8 @@
 #include "core/trainer.hpp"
 #include "picsim/sim_driver.hpp"
 #include "serve/service.hpp"
+#include "util/deadline.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 #include "workload/workload_stats.hpp"
 
@@ -189,6 +194,108 @@ TEST(PipelineSplit, PooledGenerationMatchesInlineExactly) {
     expect_same_workload(expected.workload, outcome.workload);
     expect_same_report(expected.sim, outcome.sim);
   }
+}
+
+/// The type and message of the `E` that generating `path` raised; fails
+/// the test when generation returned.
+template <typename E>
+std::string failure_of(const PredictionPipeline& pipeline,
+                       const std::string& path, const PredictionConfig& pc) {
+  TraceReader reader(path);
+  try {
+    pipeline.generate_workload(reader, pc);
+  } catch (const E& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+  ADD_FAILURE() << "generation of " << path << " returned";
+  return "";
+}
+
+/// Generation of `path` on a 4-worker pipeline, where each next interval
+/// is read and mapped beside the current one's accounting, must fail as on
+/// an inline pipeline: the same exception type and message. `arm` primes
+/// the fault and the config before each run. The pooled pipeline must then
+/// generate the intact trace exactly as the inline one. Returns the
+/// inline failure.
+template <typename E>
+std::string expect_pooled_fails_as_inline(
+    const SplitFixture& f, const std::string& path,
+    const std::function<void(PredictionConfig&)>& arm) {
+  // At 256 ranks the ghost search and the tally split on the pool too.
+  PredictionConfig pc;
+  pc.num_ranks = 256;
+  pc.filter_size = f.cfg.filter_size;
+  const PredictionPipeline inline_pipeline(f.driver->mesh(), f.models, 1);
+  const PredictionPipeline pooled(f.driver->mesh(), f.models, 4);
+  PredictionConfig faulty = pc;
+  arm(faulty);
+  const std::string expected = failure_of<E>(inline_pipeline, path, faulty);
+  arm(faulty);
+  EXPECT_EQ(failure_of<E>(pooled, path, faulty), expected);
+  failpoint::disarm_all();
+
+  TraceReader inline_reader(f.trace_path);
+  TraceReader pooled_reader(f.trace_path);
+  expect_same_workload(inline_pipeline.generate_workload(inline_reader, pc),
+                       pooled.generate_workload(pooled_reader, pc));
+  return expected;
+}
+
+TEST(PipelineSplit, PooledGenerationAbortsOnACorruptFrameAsInline) {
+  SplitFixture f;
+  const std::string corrupt = f.trace_path + ".corrupt";
+  std::filesystem::copy_file(f.trace_path, corrupt,
+                             std::filesystem::copy_options::overwrite_existing);
+  std::uint64_t middle = 0;
+  {
+    // Flip one bit of a position in the middle frame.
+    const TraceReader trace(f.trace_path);
+    middle = trace.num_samples() / 2;
+    ASSERT_GT(middle, 0u);
+    const auto byte = static_cast<std::streamoff>(
+        trace.header().header_bytes() +
+        middle * trace.header().frame_bytes() + 16);
+    std::fstream file(corrupt, std::ios::in | std::ios::out | std::ios::binary);
+    char c = 0;
+    file.seekg(byte);
+    file.get(c);
+    file.seekp(byte);
+    file.put(static_cast<char>(c ^ 0x10));
+  }
+  const std::string what = expect_pooled_fails_as_inline<TraceCorruptError>(
+      f, corrupt, [](PredictionConfig&) {});
+  EXPECT_NE(what.find("workload generation aborted"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("frame checksum mismatch at sample " +
+                      std::to_string(middle)),
+            std::string::npos)
+      << what;
+  std::remove(corrupt.c_str());
+}
+
+TEST(PipelineSplit, PooledGenerationRaisesAnArmedTraceReadAsInline) {
+  SplitFixture f;
+  const std::string what =
+      expect_pooled_fails_as_inline<Error>(f, f.trace_path, [](auto&) {
+        failpoint::arm("trace.read=error:after2:times1");
+      });
+  EXPECT_NE(what.find("failpoint trace.read: injected error"),
+            std::string::npos)
+      << what;
+}
+
+TEST(PipelineSplit, PooledGenerationMissesAnExpiringDeadlineAsInline) {
+  SplitFixture f;
+  // The third read sleeps past the whole budget, so the deadline expires
+  // at the check before that interval's accounting, not in a race.
+  const std::string what = expect_pooled_fails_as_inline<DeadlineExceeded>(
+      f, f.trace_path, [](PredictionConfig& pc) {
+        pc.deadline = Deadline::after_ms(200);
+        failpoint::arm("trace.read=delay(400):after2:times1");
+      });
+  EXPECT_NE(what.find("deadline exceeded at stage 'workload.interval'"),
+            std::string::npos)
+      << what;
 }
 
 TEST(PipelineSplit, PoolStartsOnTheFirstGenerationNotAtConstruction) {

@@ -265,6 +265,21 @@ TEST(ThreadPool, CallerRunsEveryChunkWhileEveryWorkerIsBusy) {
     EXPECT_EQ(ran_on[c], caller) << "chunk " << c;
 }
 
+TEST(ThreadPool, CallerRunsChunkZero) {
+  // Back-to-back calls leave the workers awake, so a worker that may claim
+  // any chunk often takes chunk 0 before the caller does.
+  ThreadPool pool(4);
+  for (int call = 0; call < 500; ++call) {
+    std::thread::id ran_on;
+    parallel_for(&pool, 4, 1,
+                 [&ran_on](std::size_t c, std::size_t, std::size_t) {
+                   if (c == 0) ran_on = std::this_thread::get_id();
+                 });
+    ASSERT_EQ(ran_on, std::this_thread::get_id()) << "call " << call;
+  }
+  pool.wait_idle();
+}
+
 TEST(ThreadPool, ATaskMayPassItsOwnPool) {
   struct State {
     std::atomic<std::size_t> covered{0};

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
+#include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 
 #include "mapping/bin_mapper.hpp"
 #include "mapping/element_mapper.hpp"
+#include "mapping/weighted_mapper.hpp"
 #include "support/workload_gtest.hpp"
 #include "trace/trace_writer.hpp"
 #include "util/error.hpp"
@@ -288,6 +292,84 @@ TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
                 bucket_lists(split.ghosts[t], kRanks))
           << what << " t=" << t;
   }
+}
+
+TEST(WorkloadGenerator, OverlappedGenerationEqualsInline) {
+  // On a pool, interval t + 1 is read and mapped beside interval t's
+  // accounting. That must give exactly what the inline loop gives, for
+  // both overloads, every mapper, strides 1-3 and a max_intervals below
+  // the sample count. The weighted mapper keeps its partition from one
+  // map() to the next unless the imbalance passes its trigger, so its
+  // owners depend on map() running once per interval, in order; at a
+  // trigger of 10 this cloud repartitions on some intervals, not all. At
+  // 192 ranks the tally (grain 64) and the ghost search (1500 particles,
+  // grain 256) both split on either pool.
+  constexpr Rank kRanks = 192;
+  constexpr std::size_t kSamples = 9;
+  const SpectralMesh mesh(Aabb(Vec3(0, 0, 0), Vec3(1, 1, 1)), 12, 12, 12, 3);
+  const MeshPartition partition = rcb_partition(mesh, kRanks);
+  const auto samples = drifting_cloud(1500, kSamples, 31);
+  const std::string path = testing::TempDir() + "/picp_gen_overlap.bin";
+  {
+    TraceWriter writer(path, 1500, 10, mesh.domain(), CoordKind::kFloat64);
+    for (const auto& s : samples) writer.append(s.iteration, s.positions);
+  }
+  TraceReader reader(path);
+  ThreadPool two(2);
+  ThreadPool four(4);
+  constexpr auto kAll = static_cast<std::size_t>(-1);
+  for (const char* kind : {"element", "bin", "hilbert", "weighted"}) {
+    // (stride, max_intervals)
+    for (const auto& [stride, max_intervals] :
+         std::vector<std::pair<std::size_t, std::size_t>>{
+             {1, kAll}, {2, kAll}, {3, kAll}, {1, 5}, {2, 3}}) {
+      WorkloadParams params = default_params();
+      params.interval_stride = stride;
+      params.max_intervals = max_intervals;
+      std::size_t repartitions = 0;
+      const auto generate = [&](ThreadPool* pool, bool streamed) {
+        const std::unique_ptr<Mapper> mapper =
+            std::string(kind) == "weighted"
+                ? std::make_unique<WeightedElementMapper>(mesh, kRanks, 1.0,
+                                                          10.0)
+                : make_mapper(kind, mesh, partition, params.ghost_radius);
+        WorkloadGenerator gen(mesh, partition, *mapper, params, pool);
+        WorkloadResult result =
+            streamed ? gen.generate(reader) : gen.generate(samples);
+        if (const auto* weighted =
+                dynamic_cast<const WeightedElementMapper*>(mapper.get()))
+          repartitions = weighted->repartition_count();
+        return result;
+      };
+      const WorkloadResult expected = generate(nullptr, false);
+      const std::string config = std::string(kind) + " stride " +
+                                 std::to_string(stride) + " max " +
+                                 std::to_string(max_intervals);
+      ASSERT_EQ(expected.num_intervals(),
+                std::min((kSamples + stride - 1) / stride, max_intervals))
+          << config;
+      if (std::string(kind) == "weighted" && stride == 1 &&
+          max_intervals == kAll) {
+        EXPECT_GT(repartitions, 1u) << "the cloud never forced a repartition";
+        EXPECT_LT(repartitions, expected.num_intervals())
+            << "every interval repartitioned, so no map() reused the last";
+      }
+      for (const bool streamed : {false, true}) {
+        for (ThreadPool* pool : {&two, &four}) {
+          const std::string what = config + (streamed ? " streamed" : "") +
+                                   " on " + std::to_string(pool->size()) +
+                                   " workers";
+          const WorkloadResult got = generate(pool, streamed);
+          EXPECT_EQ(expected.iterations, got.iterations) << what;
+          EXPECT_EQ(expected.partitions_per_interval,
+                    got.partitions_per_interval)
+              << what;
+          expect_same_workload(expected, got, what);
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(WorkloadGenerator, MismatchedRanksThrow) {

@@ -59,7 +59,11 @@ echo "sanitizer suite (${SANITIZE}) passed"
 # particle loops of workload and picsim: the one ghost search, which files
 # each interval's ghosts into per-rank lists, and the tally split over ranks
 # (WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial, and
-# GeneratorReplay, whose proxy runs it on 4 threads), the grid rebuild
+# GeneratorReplay, whose proxy runs it on 4 threads), the generator's
+# two-stage interval loop, which reads and maps the next interval on a pool
+# thread beside the current one's accounting
+# (WorkloadGenerator.OverlappedGenerationEqualsInline, GeneratorReplay's
+# pooled replay, and PipelineSplit's pooled failures), the grid rebuild
 # (CollisionGrid) and threaded proxy runs whose measurement reads those
 # lists (SimDriver.ThreadCountInvariant,
 # SimDriver.MeasurementProducesRecordsForActiveRanks) — because a
@@ -70,6 +74,6 @@ if [ "$TSAN_BUILD_DIR" != "none" ]; then
   cmake --build "$TSAN_BUILD_DIR" -j --target picp_tests
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$TSAN_BUILD_DIR/tests/picp_tests" \
-    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*:TraceIo*:ServeDegraded*:PipelineSplit*:ChromeTrace*:TelemetrySession*:StableBucketSort*:WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial:Mappers/GeneratorReplay*:CollisionGrid*:SimDriver.ThreadCountInvariant:SimDriver.MeasurementProducesRecordsForActiveRanks'
+    --gtest_filter='Reactor*:Http*:ThreadPool*:ArtifactCache*:AccessLog*:RequestTrace*:TraceId*:HistogramQuantile*:Prometheus*:TraceIo*:ServeDegraded*:PipelineSplit*:ChromeTrace*:TelemetrySession*:StableBucketSort*:WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial:WorkloadGenerator.OverlappedGenerationEqualsInline:Mappers/GeneratorReplay*:CollisionGrid*:SimDriver.ThreadCountInvariant:SimDriver.MeasurementProducesRecordsForActiveRanks'
   echo "thread-sanitizer suite passed"
 fi
