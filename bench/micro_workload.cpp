@@ -1,12 +1,16 @@
 // Micro-benchmarks of the Dynamic Workload Generator internals: the
 // ghost-rank search (the generator's dominant cost), full per-interval
 // accounting throughput, inline and split over a pool, the cost of one
-// split itself, and the CRC32C that checks every trace frame it reads.
+// split itself, filling one interval of a comm matrix, and the CRC32C that
+// checks every trace frame it reads.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "mapping/element_mapper.hpp"
@@ -91,17 +95,31 @@ void BM_ParallelForDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelForDispatch)->Arg(0)->Arg(300)->UseRealTime();
 
+// One interval's transfers added to a fresh matrix: 5,565 distinct pairs
+// over 8352 ranks, the mean ghost pairs per interval of bin mapping at
+// R = 8352 on picbench's seed-1 offline inputs. Arg 0 adds them in
+// (from, to) order, as the workload accounting does, so each add appends;
+// Arg 1 adds them shuffled, as a writer that adds in particle order does,
+// so each add inserts.
 void BM_CommMatrixAdd(benchmark::State& state) {
-  CommMatrix comm(8352, 1);
+  constexpr Rank kRanks = 8352;
+  constexpr std::size_t kPairs = 5565;
   Xoshiro256 rng(9);
+  std::set<std::pair<Rank, Rank>> distinct;
+  while (distinct.size() < kPairs)
+    distinct.emplace(static_cast<Rank>(rng.uniform_below(kRanks)),
+                     static_cast<Rank>(rng.uniform_below(kRanks)));
+  std::vector<std::pair<Rank, Rank>> pairs(distinct.begin(), distinct.end());
+  if (state.range(0) == 1) std::shuffle(pairs.begin(), pairs.end(), rng);
   for (auto _ : state) {
-    const Rank from = static_cast<Rank>(rng.uniform_below(8352));
-    const Rank to = static_cast<Rank>(rng.uniform_below(8352));
-    comm.add(from, to, 0, 1);
+    CommMatrix comm(kRanks, 1);
+    for (const auto& [from, to] : pairs) comm.add(from, to, 0);
+    benchmark::DoNotOptimize(comm.interval_transfers(0).data());
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kPairs));
 }
-BENCHMARK(BM_CommMatrixAdd);
+BENCHMARK(BM_CommMatrixAdd)->Arg(0)->Arg(1);
 
 // One frame's checksum. The Arg is the frame's payload in bytes: 48000 and
 // 240000 are picbench's serve and offline traces (4,000 and 20,000

@@ -1,6 +1,7 @@
 #include "bsst/trace_sim.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "telemetry/telemetry.hpp"
@@ -12,8 +13,8 @@ namespace {
 
 /// Interval t's transfers of `matrix`, sorted by (from, to); none when the
 /// matrix is absent or ends before t.
-std::vector<CommMatrix::Transfer> transfers(const CommMatrix* matrix,
-                                            std::size_t t) {
+std::span<const CommMatrix::Transfer> transfers(const CommMatrix* matrix,
+                                                std::size_t t) {
   if (matrix == nullptr || t >= matrix->num_intervals()) return {};
   return matrix->interval_transfers(t);
 }

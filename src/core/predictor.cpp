@@ -41,6 +41,10 @@ double Predictor::predict_kernel(Kernel k, const WorkloadResult& workload,
   const PerfModel* model = kernel_models_[static_cast<std::size_t>(k)];
   PICP_REQUIRE(model != nullptr,
                std::string("no model for kernel: ") + kernel_name(k));
+  PICP_REQUIRE(rank >= 0 && rank < workload.num_ranks &&
+                   interval < workload.num_intervals(),
+               "the workload has no rank " + std::to_string(rank) +
+                   ", interval " + std::to_string(interval));
   const std::int64_t received =
       k == Kernel::kMigrate ? workload.comm_real.received_by(rank, interval)
                             : 0;

@@ -21,7 +21,9 @@ class Predictor {
   /// features are fed by position, so any other list would be misread.
   Predictor(const ModelSet& models, double filter_size);
 
-  /// Predicted seconds of one kernel on one (rank, interval).
+  /// Predicted seconds of one kernel on one (rank, interval). Throws
+  /// picp::Error naming both unless 0 <= rank < workload.num_ranks and
+  /// interval < workload.num_intervals().
   double predict_kernel(Kernel k, const WorkloadResult& workload, Rank rank,
                         std::size_t interval) const;
 

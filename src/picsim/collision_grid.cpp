@@ -73,17 +73,8 @@ void CollisionGrid::rebuild(std::span<const Vec3> positions,
                        indexer_.flat_cell_of(positions[i]));
                });
 
-  stable_bucket_sort(
-      pool, n, kRebuildGrain, cell_count(), cells_,
-      [this](std::size_t, std::size_t begin, std::size_t end,
-             std::uint32_t* row) {
-        for (std::size_t i = begin; i < end; ++i) ++row[cell_index_[i]];
-      },
-      [this](std::size_t, std::size_t begin, std::size_t end,
-             std::uint32_t* row) {
-        for (std::size_t i = begin; i < end; ++i)
-          cells_.ids[row[cell_index_[i]]++] = static_cast<std::uint32_t>(i);
-      });
+  bucket_by_key(pool, n, kRebuildGrain, cell_count(), cells_,
+                [this](std::size_t i) { return cell_index_[i]; });
 }
 
 }  // namespace picp

@@ -39,9 +39,9 @@ struct SimConfig {
   /// Store trace coordinates in double precision (exact generator-vs-app
   /// validation); f32 matches the paper's compact production traces.
   bool trace_float64 = true;
-  /// Worker threads for the solver loop, collision-grid rebuilds, the
-  /// in-situ accounting's ghost search and tally and the measurement-path
-  /// rank buckets. 1 = fully serial (no pool), 0 = hardware concurrency.
+  /// Worker threads for the solver loop, collision-grid rebuilds and the
+  /// in-situ accounting's filings by rank and tally. 1 = fully serial (no
+  /// pool), 0 = hardware concurrency.
   /// Every parallel phase writes only disjoint per-particle or per-rank
   /// slots, so results are bit-identical for any value.
   std::size_t threads = 1;

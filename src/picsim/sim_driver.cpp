@@ -18,31 +18,9 @@ namespace picp {
 
 namespace {
 
-/// Grains of the split rule (util/thread_pool.hpp), which splits a loop
-/// only from two grains on: the rank buckets stay inline under 4096
-/// particles, and a solver chunk holds at least 256 particles.
-constexpr std::size_t kBuildGrain = 2048;
+/// Fewest particles per chunk of the solver step, under the split rule
+/// (util/thread_pool.hpp).
 constexpr std::size_t kSolverGrain = 256;
-
-/// Particle ids grouped by owning rank: each virtual rank's particle list
-/// for per-rank kernel execution.
-void bucket_by_rank(std::span<const Rank> owners, Rank num_ranks,
-                    ThreadPool* pool, Buckets& out) {
-  stable_bucket_sort(
-      pool, owners.size(), kBuildGrain, static_cast<std::size_t>(num_ranks),
-      out,
-      [owners](std::size_t, std::size_t begin, std::size_t end,
-               std::uint32_t* row) {
-        for (std::size_t i = begin; i < end; ++i)
-          ++row[static_cast<std::size_t>(owners[i])];
-      },
-      [owners, &out](std::size_t, std::size_t begin, std::size_t end,
-                     std::uint32_t* row) {
-        for (std::size_t i = begin; i < end; ++i)
-          out.ids[row[static_cast<std::size_t>(owners[i])]++] =
-              static_cast<std::uint32_t>(i);
-      });
-}
 
 }  // namespace
 
@@ -142,8 +120,7 @@ SimResult SimDriver::run(const std::string& trace_path,
 
   std::vector<Rank> owners;
   std::vector<Rank> prev_owners;
-  Buckets buckets;  // particle ids by owning rank
-  Buckets ghosts;   // ghost ids by visited rank, filed by the accounting
+  RankLists lists;  // particle and ghost ids by rank, filed by the accounting
   ProjectionField proj_field(config_.points_per_dim);
   ProjectionField fluid_field(config_.points_per_dim,
                               config_.measure ? mesh_.num_elements() : 0);
@@ -194,7 +171,7 @@ SimResult SimDriver::run(const std::string& trace_path,
                                          "picsim");
         accumulate_interval_workload(mesh_, partition_, store.positions(),
                                      owners, prev_owners, acc_params, t,
-                                     result.actual, pool, &ghosts);
+                                     result.actual, pool, &lists);
       }
 
       const bool measure_now =
@@ -203,10 +180,6 @@ SimResult SimDriver::run(const std::string& trace_path,
       if (measure_now) {
         const telemetry::ScopedSpan measure_span("picsim.measure", "picsim");
         const ScopedTimer mt(measure_time);
-        {
-          const telemetry::ScopedSpan span("picsim.rank_buckets", "picsim");
-          bucket_by_rank(owners, config_.num_ranks, pool, buckets);
-        }
         vel_scratch.assign(store.velocities().begin(),
                            store.velocities().end());
 
@@ -223,7 +196,7 @@ SimResult SimDriver::run(const std::string& trace_path,
             rec.rank = r;
             rec.kernel = Kernel::kFluid;
             rec.np = static_cast<double>(
-                buckets.bucket(static_cast<std::size_t>(r)).size());
+                lists.owned.bucket(static_cast<std::size_t>(r)).size());
             rec.filter = config_.filter_size;
             rec.nel = static_cast<double>(elements.size());
             rec.seconds = measure_adaptive(
@@ -235,8 +208,8 @@ SimResult SimDriver::run(const std::string& trace_path,
         }
 
         for (Rank r = 0; r < config_.num_ranks; ++r) {
-          const auto ids = buckets.bucket(static_cast<std::size_t>(r));
-          const auto gids = ghosts.bucket(static_cast<std::size_t>(r));
+          const auto ids = lists.owned.bucket(static_cast<std::size_t>(r));
+          const auto gids = lists.ghosts.bucket(static_cast<std::size_t>(r));
           if (ids.empty() && gids.empty()) continue;
 
           TimingRecord rec;

@@ -59,14 +59,13 @@ struct RunOptions {
 /// particle trace, and (optionally) measures every kernel on every virtual
 /// rank at sampled intervals.
 ///
-/// With `config.threads != 1` the solver loop, collision-grid rebuilds, the
-/// in-situ workload accounting's ghost search (whose per-rank ghost lists
-/// measurement reads) and tally, and the measurement-path rank buckets run
-/// on an internal ThreadPool, split by `parallel_for`'s rule. Every
-/// parallel phase writes only disjoint per-particle or per-rank slots and
-/// every merge is performed in deterministic chunk order, so the trace,
-/// the workload accounting, and the final particle state are bit-identical
-/// for any thread count.
+/// With `config.threads != 1` the solver loop, collision-grid rebuilds and
+/// the in-situ workload accounting (its filings by rank, whose lists
+/// measurement reads, and its tally) run on an internal ThreadPool, split
+/// by `parallel_for`'s rule. Every parallel phase writes only disjoint
+/// per-particle or per-rank slots and every merge is performed in
+/// deterministic chunk order, so the trace, the workload accounting, and
+/// the final particle state are bit-identical for any thread count.
 class SimDriver {
  public:
   explicit SimDriver(const SimConfig& config);

@@ -166,4 +166,21 @@ void stable_bucket_sort(ThreadPool* pool, std::size_t n, std::size_t grain,
                         std::size_t buckets, Buckets& out,
                         const BucketFn& count, const BucketFn& scatter);
 
+/// `stable_bucket_sort` where item i yields its own id, into bucket key(i).
+template <typename Key>
+void bucket_by_key(ThreadPool* pool, std::size_t n, std::size_t grain,
+                   std::size_t buckets, Buckets& out, const Key& key) {
+  stable_bucket_sort(
+      pool, n, grain, buckets, out,
+      [&key](std::size_t, std::size_t begin, std::size_t end,
+             std::uint32_t* row) {
+        for (std::size_t i = begin; i < end; ++i) ++row[key(i)];
+      },
+      [&key, &out](std::size_t, std::size_t begin, std::size_t end,
+                   std::uint32_t* row) {
+        for (std::size_t i = begin; i < end; ++i)
+          out.ids[row[key(i)]++] = static_cast<std::uint32_t>(i);
+      });
+}
+
 }  // namespace picp

@@ -13,8 +13,56 @@
 namespace picp {
 
 namespace {
-/// Fewest ranks per chunk of the ghost tally.
+
+/// Grains of the split rule (util/thread_pool.hpp), which splits a loop
+/// only from two grains on: the owner filing stays inline under 4096
+/// particles, and the tally under 128 ranks.
+constexpr std::size_t kFilingGrain = 2048;
 constexpr std::size_t kTallyGrain = 64;
+
+/// Adds each rank's list length to its entry of `comp` at interval t.
+void add_lengths(const Buckets& lists, std::size_t t, CompMatrix& comp) {
+  const std::span<std::int64_t> row = comp.interval(t);
+  for (std::size_t r = 0; r < row.size(); ++r)
+    row[r] += static_cast<std::int64_t>(lists.bucket(r).size());
+}
+
+/// The one tally of both comm matrices: adds to `comm` at interval t one
+/// transfer (s, r, n) per rank r and source s != r of n ids on r's list, id
+/// i coming from sources[i]. Chunks of ranks count with a dense counter, so
+/// the sends come grouped by rank; one counting pass by source then puts
+/// them in (from, to) order, so every add appends.
+void tally_sends(const Buckets& lists, std::span<const Rank> sources,
+                 std::size_t t, ThreadPool* pool, CommMatrix& comm) {
+  const auto ranks = static_cast<std::size_t>(comm.num_ranks());
+  const auto source = [sources](std::uint32_t i) {
+    return static_cast<std::size_t>(sources[i]);
+  };
+  std::vector<std::vector<CommMatrix::Transfer>> chunks(
+      chunk_count(pool, ranks, kTallyGrain));
+  parallel_for(
+      pool, ranks, kTallyGrain,
+      [&](std::size_t c, std::size_t begin, std::size_t end) {
+        std::vector<std::uint32_t> from(ranks);
+        for (std::size_t r = begin; r < end; ++r) {
+          const auto ids = lists.bucket(r);
+          for (const std::uint32_t i : ids) ++from[source(i)];
+          from[r] = 0;  // ids whose source is r did not move
+          for (const std::uint32_t i : ids)
+            if (const std::uint32_t n = std::exchange(from[source(i)], 0u))
+              chunks[c].push_back({sources[i], static_cast<Rank>(r), n});
+        }
+      });
+  std::vector<CommMatrix::Transfer> sends;
+  for (const auto& chunk : chunks)
+    sends.insert(sends.end(), chunk.begin(), chunk.end());
+  Buckets by_source;  // a few thousand sends: one inline chunk
+  bucket_by_key(nullptr, sends.size(), 1, ranks, by_source,
+                [&sends](std::size_t k) { return sends[k].from; });
+  for (const std::uint32_t k : by_source.ids)
+    comm.add(sends[k].from, sends[k].to, t, sends[k].count);
+}
+
 }  // namespace
 
 WorkloadGenerator::WorkloadGenerator(const SpectralMesh& mesh,
@@ -121,7 +169,7 @@ void WorkloadGenerator::account(std::size_t t, const Slot& slot,
   result.partitions_per_interval.push_back(slot.partitions);
   accumulate_interval_workload(*mesh_, *partition_, slot.sample->positions,
                                slot.owners, prev_owners_, params_, t, result,
-                               pool_, &ghosts_);
+                               pool_, &lists_);
   prev_owners_ = slot.owners;
 }
 
@@ -130,61 +178,32 @@ void accumulate_interval_workload(
     std::span<const Vec3> positions, std::span<const Rank> owners,
     std::span<const Rank> prev_owners, const WorkloadParams& params,
     std::size_t t, WorkloadResult& result, ThreadPool* pool,
-    Buckets* ghosts) {
+    RankLists* lists) {
   PICP_REQUIRE(owners.size() == positions.size(), "owner array size");
+  RankLists local;
+  RankLists& filed = lists != nullptr ? *lists : local;
+  const auto ranks = static_cast<std::size_t>(partition.num_ranks());
   {
     const telemetry::ScopedSpan span("workload.account", "pipeline");
     // Computation load: real particles per rank.
-    for (const Rank r : owners) result.comp_real.add(r, t, 1);
-
+    bucket_by_key(pool, owners.size(), kFilingGrain, ranks, filed.owned,
+                  [owners](std::size_t i) { return owners[i]; });
+    add_lengths(filed.owned, t, result.comp_real);
     // Communication load: migration between consecutive intervals (a
     // particle whose residing processor changed moves its data across
     // ranks).
-    if (params.compute_comm && t > 0 && prev_owners.size() == owners.size()) {
-      for (std::size_t i = 0; i < owners.size(); ++i)
-        if (owners[i] != prev_owners[i])
-          result.comm_real.add(prev_owners[i], owners[i], t, 1);
-    }
+    if (params.compute_comm && t > 0 && prev_owners.size() == owners.size())
+      tally_sends(filed.owned, prev_owners, t, pool, result.comm_real);
   }
 
   // Ghost particles: influence radius crossing grid-region boundaries.
   if (params.compute_ghosts) {
     const telemetry::ScopedSpan span("workload.ghost", "pipeline");
-    Buckets local;
-    Buckets& lists = ghosts != nullptr ? *ghosts : local;
     GhostFinder(mesh, partition, params.ghost_radius)
-        .bucket(positions, owners, pool, lists);
-    // Each chunk of ranks writes only its ranks' comp_ghost entries and
-    // collects its (owner, rank, count) sends, which are added in chunk
-    // order afterwards.
-    const auto ranks = static_cast<std::size_t>(partition.num_ranks());
-    std::vector<std::vector<CommMatrix::Transfer>> sends(
-        chunk_count(pool, ranks, kTallyGrain));
-    parallel_for(
-        pool, ranks, kTallyGrain,
-        [&](std::size_t c, std::size_t begin, std::size_t end) {
-          std::vector<std::uint32_t> from_owner(params.compute_comm ? ranks
-                                                                    : 0);
-          std::vector<Rank> owners_seen;
-          for (std::size_t r = begin; r < end; ++r) {
-            const auto ids = lists.bucket(r);
-            result.comp_ghost.add(static_cast<Rank>(r), t,
-                                  static_cast<std::int64_t>(ids.size()));
-            if (!params.compute_comm) continue;
-            for (const std::uint32_t i : ids)
-              if (from_owner[static_cast<std::size_t>(owners[i])]++ == 0)
-                owners_seen.push_back(owners[i]);
-            for (const Rank owner : owners_seen)
-              sends[c].push_back(CommMatrix::Transfer{
-                  owner, static_cast<Rank>(r),
-                  std::exchange(from_owner[static_cast<std::size_t>(owner)],
-                                0u)});
-            owners_seen.clear();
-          }
-        });
-    for (const auto& chunk : sends)
-      for (const CommMatrix::Transfer& send : chunk)
-        result.comm_ghost.add(send.from, send.to, t, send.count);
+        .bucket(positions, owners, pool, filed.ghosts);
+    add_lengths(filed.ghosts, t, result.comp_ghost);
+    if (params.compute_comm)
+      tally_sends(filed.ghosts, owners, t, pool, result.comm_ghost);
   }
 }
 

@@ -60,6 +60,13 @@ struct WorkloadResult {
   std::size_t num_intervals() const { return iterations.size(); }
 };
 
+/// One interval's particle ids filed by rank, in particle order: those rank
+/// r owns (`owned.bucket(r)`) and those that are ghosts on r.
+struct RankLists {
+  Buckets owned;
+  Buckets ghosts;
+};
+
 /// Per-interval load accounting shared by the Dynamic Workload Generator
 /// (replaying a trace) and the proxy application (counting in situ): adds
 /// real/ghost computation loads plus migration and ghost-creation
@@ -67,20 +74,21 @@ struct WorkloadResult {
 /// at the first interval. Using one implementation for both sides is what
 /// makes generator-vs-application validation exact.
 ///
-/// The ghost search, the costly part, is `GhostFinder::bucket`: it files
-/// the interval's ghosts into per-rank lists, split over `pool` (with no
-/// pool, one inline chunk). The tally then splits the ranks over `pool`:
-/// comp_ghost adds each list's length, and comm_ghost one transfer per
-/// distinct (owner, rank) pair, counted from the list. Every tally is the
-/// same for any pool. When `ghosts` is given and `params.compute_ghosts` is
-/// set, it receives the lists, so a caller that needs them searches no
-/// second time.
+/// The interval is filed once into per-rank lists, particles by owner and
+/// ghosts by the rank they visit (`GhostFinder::bucket`, the costly part),
+/// split over `pool` (with no pool, one inline chunk). comp_real and
+/// comp_ghost add each list's length. One tally, split over ranks, counts
+/// each list by source (previous owner, or owner) and adds one comm_real or
+/// comm_ghost transfer per moving (source, rank) pair, in (from, to) order.
+/// Every output is the same for any pool. When `lists` is given it receives
+/// the lists (the ghost lists only with `params.compute_ghosts`), so a
+/// caller that needs them files no second time.
 void accumulate_interval_workload(
     const SpectralMesh& mesh, const MeshPartition& partition,
     std::span<const Vec3> positions, std::span<const Rank> owners,
     std::span<const Rank> prev_owners, const WorkloadParams& params,
     std::size_t t, WorkloadResult& result, ThreadPool* pool = nullptr,
-    Buckets* ghosts = nullptr);
+    RankLists* lists = nullptr);
 
 /// The paper's Dynamic Workload Generator (§II-A): replays a particle trace
 /// through a particle-mapping algorithm to synthesize the per-processor
@@ -137,7 +145,7 @@ class WorkloadGenerator {
   ThreadPool* pool_;
 
   std::vector<Rank> prev_owners_;
-  Buckets ghosts_;  // this interval's ghost lists, storage reused
+  RankLists lists_;  // this interval's per-rank lists, storage reused
 };
 
 }  // namespace picp

@@ -174,12 +174,15 @@ TEST(SimDriver, MeasurementProducesRecordsForActiveRanks) {
   const SimResult result = driver.run();
   EXPECT_FALSE(result.timings.empty());
   EXPECT_GT(result.measure_seconds, 0.0);
-  // Every record's np matches the actual computation matrix, and every
-  // particle kernel's ngp the ghost matrix.
+  // Measurement reads the accounting's owner and ghost lists, so every
+  // record's np matches the actual computation matrix, and every particle
+  // kernel's ngp the ghost matrix.
   for (const TimingRecord& rec : result.timings.records()) {
     EXPECT_GE(rec.seconds, 0.0);
     EXPECT_EQ(static_cast<std::int64_t>(rec.np),
-              result.actual.comp_real.at(rec.rank, rec.interval));
+              result.actual.comp_real.at(rec.rank, rec.interval))
+        << kernel_name(rec.kernel) << " r=" << rec.rank
+        << " t=" << rec.interval;
     if (rec.kernel != Kernel::kFluid) {
       EXPECT_EQ(static_cast<std::int64_t>(rec.ngp),
                 result.actual.comp_ghost.at(rec.rank, rec.interval))

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/claims.hpp"
 #include "model/linear.hpp"
+#include "util/error.hpp"
 #include "util/shape_check.hpp"
 
 namespace picp {
@@ -100,6 +103,31 @@ TEST(Validation, OutOfRangeIntervalsSkipped) {
   const ValidationReport report =
       validate_predictions(f.timings, predictor, f.workload);
   EXPECT_EQ(report.kernels[0].samples, 12u);
+}
+
+TEST(Validation, RecordsForRanksTheWorkloadLacksThrow) {
+  // Ranks come from a timings file; one past the last rank would read the
+  // next interval's row, and a negative one before the matrix.
+  for (const Rank rank : {4, -1}) {
+    Fixture f;
+    TimingRecord rec;
+    rec.interval = 0;
+    rec.rank = rank;
+    rec.kernel = Kernel::kPush;
+    rec.np = 11;
+    rec.seconds = 1e-5;
+    f.timings.add(rec);
+    const Predictor predictor(f.models, 0.05);
+    try {
+      validate_predictions(f.timings, predictor, f.workload);
+      ADD_FAILURE() << "rank " << rank << " was scored";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("no rank " + std::to_string(rank) + ", interval 0"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(Validation, WeightedAverageAcrossKernels) {

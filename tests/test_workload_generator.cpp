@@ -88,11 +88,15 @@ TEST(WorkloadGenerator, CommMatrixConsistentWithCompDeltas) {
   bool any_movement = false;
   for (std::size_t t = 1; t < result.num_intervals(); ++t) {
     if (result.comm_real.interval_volume(t) > 0) any_movement = true;
+    std::vector<std::int64_t> sent(
+        static_cast<std::size_t>(w.partition.num_ranks()), 0);
+    for (const CommMatrix::Transfer& x : result.comm_real.interval_transfers(t))
+      sent[static_cast<std::size_t>(x.from)] += x.count;
     for (Rank r = 0; r < w.partition.num_ranks(); ++r) {
       const std::int64_t delta =
           result.comp_real.at(r, t) - result.comp_real.at(r, t - 1);
       const std::int64_t net = result.comm_real.received_by(r, t) -
-                               result.comm_real.sent_by(r, t);
+                               sent[static_cast<std::size_t>(r)];
       EXPECT_EQ(delta, net) << "rank " << r << " interval " << t;
     }
   }
@@ -205,32 +209,35 @@ std::vector<std::vector<std::uint32_t>> bucket_lists(const Buckets& lists,
 
 TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
   // accumulate_interval_workload split over pools of 2, 4 and 7 workers
-  // must file the same per-rank ghost lists and tally exactly what one
-  // inline chunk does, and that chunk must agree with a reference built
-  // from ranks_near, particle by particle. The search splits 1500
-  // particles (grain 256) into 2, 4 and 5 chunks, and the tally 448 ranks
-  // (grain 64) into 2, 4 and 7.
+  // must file the same per-rank owner and ghost lists and tally exactly
+  // what one inline chunk does, and that chunk must agree with a reference
+  // built particle by particle: the lists from owners and ranks_near,
+  // comm_real from (previous owner, owner) pairs and comm_ghost from
+  // (owner, visited rank) pairs. 6144 particles split the owner filing
+  // (grain 2048) into 2, 3 and 3 chunks and the ghost search (grain 256)
+  // into 2, 4 and 7; both tallies split 448 ranks (grain 64) into 2, 4
+  // and 7.
   constexpr Rank kRanks = 448;
   const SpectralMesh mesh(Aabb(Vec3(0, 0, 0), Vec3(1, 1, 1)), 16, 16, 16, 3);
   const MeshPartition partition = rcb_partition(mesh, kRanks);
-  const auto samples = drifting_cloud(1500, 6, 21);
+  const auto samples = drifting_cloud(6144, 6, 21);
   struct Run {
     WorkloadResult result;
     std::vector<std::vector<Rank>> owners;  // per interval
-    std::vector<Buckets> ghosts;            // per interval
+    std::vector<RankLists> lists;           // per interval
   };
   const auto account = [&](ThreadPool* pool) {
     ElementMapper mapper(mesh, partition);
     Run run{WorkloadResult(kRanks, samples.size()),
             std::vector<std::vector<Rank>>(samples.size()),
-            std::vector<Buckets>(samples.size())};
+            std::vector<RankLists>(samples.size())};
     std::vector<Rank> prev_owners;
     for (std::size_t t = 0; t < samples.size(); ++t) {
       std::vector<Rank>& owners = run.owners[t];
       mapper.map(samples[t].positions, owners);
       accumulate_interval_workload(mesh, partition, samples[t].positions,
                                    owners, prev_owners, default_params(), t,
-                                   run.result, pool, &run.ghosts[t]);
+                                   run.result, pool, &run.lists[t]);
       prev_owners = owners;
     }
     return run;
@@ -240,57 +247,81 @@ TEST(WorkloadGenerator, ParallelGhostSearchBitIdenticalToSerial) {
   ASSERT_GT(serial.result.comm_ghost.total_volume(), 0);
   ASSERT_GT(serial.result.comm_real.total_volume(), 0);
 
-  // Reference: per particle, the ranks it is a ghost on, sent from its
-  // owner.
+  using Sends = std::map<std::pair<Rank, Rank>, std::int64_t>;
+  const auto expect_transfers = [](const CommMatrix& comm, std::size_t t,
+                                   const Sends& sends, const char* name) {
+    const auto transfers = comm.interval_transfers(t);
+    ASSERT_EQ(transfers.size(), sends.size()) << name << " t=" << t;
+    auto expected = sends.begin();
+    for (const auto& transfer : transfers) {
+      EXPECT_EQ(std::make_pair(transfer.from, transfer.to), expected->first)
+          << name << " t=" << t;
+      EXPECT_EQ(transfer.count, expected->second) << name << " t=" << t;
+      ++expected;
+    }
+  };
   const GhostFinder finder(mesh, partition, default_params().ghost_radius);
   std::vector<Rank> near;
   for (std::size_t t = 0; t < samples.size(); ++t) {
     const std::vector<Rank>& owners = serial.owners[t];
-    std::vector<std::vector<std::uint32_t>> lists(kRanks);
-    std::map<std::pair<Rank, Rank>, std::int64_t> sends;
+    std::vector<std::vector<std::uint32_t>> owned(kRanks);
+    std::vector<std::vector<std::uint32_t>> ghosts(kRanks);
+    Sends moves;
+    Sends sends;
     for (std::size_t i = 0; i < owners.size(); ++i) {
+      const auto id = static_cast<std::uint32_t>(i);
+      owned[static_cast<std::size_t>(owners[i])].push_back(id);
+      if (t > 0 && serial.owners[t - 1][i] != owners[i])
+        ++moves[{serial.owners[t - 1][i], owners[i]}];
       finder.ranks_near(samples[t].positions[i], owners[i], near);
       for (const Rank r : near) {
-        lists[static_cast<std::size_t>(r)].push_back(
-            static_cast<std::uint32_t>(i));
+        ghosts[static_cast<std::size_t>(r)].push_back(id);
         ++sends[{owners[i], r}];
       }
     }
-    EXPECT_EQ(bucket_lists(serial.ghosts[t], kRanks), lists) << "t=" << t;
-    for (Rank r = 0; r < kRanks; ++r)
-      EXPECT_EQ(serial.result.comp_ghost.at(r, t),
-                static_cast<std::int64_t>(
-                    lists[static_cast<std::size_t>(r)].size()))
+    EXPECT_EQ(bucket_lists(serial.lists[t].owned, kRanks), owned)
+        << "t=" << t;
+    EXPECT_EQ(bucket_lists(serial.lists[t].ghosts, kRanks), ghosts)
+        << "t=" << t;
+    for (Rank r = 0; r < kRanks; ++r) {
+      const auto k = static_cast<std::size_t>(r);
+      EXPECT_EQ(serial.result.comp_real.at(r, t),
+                static_cast<std::int64_t>(owned[k].size()))
           << "r=" << r << " t=" << t;
-    const auto transfers = serial.result.comm_ghost.interval_transfers(t);
-    ASSERT_EQ(transfers.size(), sends.size()) << "t=" << t;
-    auto expected = sends.begin();
-    for (const auto& transfer : transfers) {
-      EXPECT_EQ(std::make_pair(transfer.from, transfer.to), expected->first)
-          << "t=" << t;
-      EXPECT_EQ(transfer.count, expected->second) << "t=" << t;
-      ++expected;
+      EXPECT_EQ(serial.result.comp_ghost.at(r, t),
+                static_cast<std::int64_t>(ghosts[k].size()))
+          << "r=" << r << " t=" << t;
     }
+    expect_transfers(serial.result.comm_real, t, moves, "comm_real");
+    expect_transfers(serial.result.comm_ghost, t, sends, "comm_ghost");
   }
 
-  // Workers, then the search's and the tally's chunks.
-  for (const auto& [workers, search, tally] :
-       {std::tuple{2u, 2u, 2u}, std::tuple{4u, 4u, 4u},
-        std::tuple{7u, 5u, 7u}}) {
+  // Workers, then the chunks of the owner filing, the ghost search and
+  // the tallies.
+  for (const auto& [workers, filing, search, tally] :
+       {std::tuple{2u, 2u, 2u, 2u}, std::tuple{4u, 3u, 4u, 4u},
+        std::tuple{7u, 3u, 7u, 7u}}) {
     ThreadPool pool(workers);
     const Run split = account(&pool);
     pool.wait_idle();  // a chunk's task may still be queued after the call
-    // Per interval the search's count and scatter steps and the tally each
-    // submit one task per chunk but the caller's.
+    // Each split loop submits one task per chunk but the caller's. Per
+    // interval the filing's and the search's count and scatter steps and
+    // the ghost tally split, and the migration tally from interval 1 on.
+    const std::size_t intervals = samples.size();
     EXPECT_EQ(pool.stats().tasks,
-              samples.size() * (2 * (search - 1) + (tally - 1)))
-        << workers << " workers split the search or the tally otherwise";
+              intervals * (2 * (filing - 1) + 2 * (search - 1) + (tally - 1)) +
+                  (intervals - 1) * (tally - 1))
+        << workers << " workers split a loop otherwise";
     const std::string what = std::to_string(workers) + " workers";
     expect_same_workload(serial.result, split.result, what);
-    for (std::size_t t = 0; t < samples.size(); ++t)
-      EXPECT_EQ(bucket_lists(serial.ghosts[t], kRanks),
-                bucket_lists(split.ghosts[t], kRanks))
+    for (std::size_t t = 0; t < samples.size(); ++t) {
+      EXPECT_EQ(bucket_lists(serial.lists[t].owned, kRanks),
+                bucket_lists(split.lists[t].owned, kRanks))
           << what << " t=" << t;
+      EXPECT_EQ(bucket_lists(serial.lists[t].ghosts, kRanks),
+                bucket_lists(split.lists[t].ghosts, kRanks))
+          << what << " t=" << t;
+    }
   }
 }
 

@@ -22,6 +22,7 @@ TSAN_BUILD_DIR="${3:-build-tsan}"
 SRC_DIR="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" -DPICP_SANITIZE="$SANITIZE"
+BUILD_DIR="$(cd "$BUILD_DIR" && pwd)"  # check_chaos.sh runs in its work dir
 cmake --build "$BUILD_DIR" -j
 # halt_on_error keeps a UB report from being drowned out by later tests.
 # The claims tier is excluded: its gates assert wall-clock accuracy claims
@@ -56,9 +57,10 @@ echo "sanitizer suite (${SANITIZE}) passed"
 # PipelineSplit), the span tracer's per-thread buffers and the stage hook
 # behind every ScopedSpan (ChromeTrace, TelemetrySession; the real
 # pipeline's stages on a reactor are ReactorStageTest), and the chunked
-# particle loops of workload and picsim: the one ghost search, which files
-# each interval's ghosts into per-rank lists, and the tally split over ranks
-# (WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial, and
+# particle loops of workload and picsim: the accounting's filings, which
+# file each interval's particles by owner and its ghosts (the one ghost
+# search) by visited rank, and the one tally of both comm matrices, split
+# over ranks (WorkloadGenerator.ParallelGhostSearchBitIdenticalToSerial, and
 # GeneratorReplay, whose proxy runs it on 4 threads), the generator's
 # two-stage interval loop, which reads and maps the next interval on a pool
 # thread beside the current one's accounting
